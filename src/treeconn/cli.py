@@ -23,18 +23,14 @@ from .core import (
     BipartiteOrder,
     InstanceTooLargeError,
     InvalidArgumentError,
-    InvalidTerminalSetError,
     Side,
-    Tree,
     ValidationReport,
-    Violation,
     normalize,
-    terminal_set,
-    validate_tree,
+    verify_family,
 )
 from .oracle import oracle_kappa_k, oracle_spanning_packing
-from .packing import SpanningTreePacking, build_packing
-from .witness import SteinerWitness, _family_report, build_witness
+from .packing import SpanningTreePacking, build_packing, target_tree_count
+from .witness import SteinerWitness, build_witness, verify_witness_trees
 
 DOT_PALETTE = (
     "#a6cee3", "#1f78b4", "#b2df8a", "#33a02c", "#fb9a99", "#e31a1c",
@@ -150,7 +146,9 @@ def parse_document(text: str) -> CertificateDocument:
     """Parse and schema-check a JSON certificate; malformed input raises."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and over-long integer literals;
+        # RecursionError, nesting deeper than the parser's stack.
         raise InvalidArgumentError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidArgumentError("certificate must be a JSON object")
@@ -196,37 +194,17 @@ def parse_document(text: str) -> CertificateDocument:
 
 
 def verify_document(doc: CertificateDocument) -> ValidationReport:
-    """Re-validate a certificate document structurally."""
+    """Re-validate a certificate document: sound trees, and as many as the
+    closed form allows (see ``verify_family`` and ``verify_witness_trees``)."""
     order = normalize(doc.a, doc.b)
+    trees = [t.edges for t in doc.trees]
+    if order.swapped:
+        trees = [_convert_edges(edges, True) for edges in trees]
     if doc.kind == "packing":
-        required = order.vertices()
-        trees = [Tree(_convert_edges(t.edges, order.swapped)) for t in doc.trees]
-        for tree in trees:
-            report = validate_tree(order, required, tree)
-            if not report.ok:
-                return report
-        for p1 in range(len(trees)):
-            for p2 in range(p1 + 1, len(trees)):
-                shared = trees[p1].edge_set & trees[p2].edge_set
-                if shared:
-                    x, y = min(shared)
-                    return ValidationReport(
-                        (Violation("edge-overlap", f"trees {p1} and {p2} share edge (x{x}, y{y})"),)
-                    )
-        return ValidationReport()
-
+        return verify_family(order, trees, order.a, order.b, target_tree_count(order.a, order.b))
     assert doc.k is not None and doc.i is not None
     i_norm = doc.k - doc.i if order.swapped else doc.i
-    try:
-        terminal = terminal_set(order, doc.k, i_norm)
-    except InvalidTerminalSetError as exc:
-        return ValidationReport((Violation("wrong-terminals", str(exc)),))
-    terminals = terminal.vertices()
-    members = []
-    for t in doc.trees:
-        tree = Tree(_convert_edges(t.edges, order.swapped))
-        members.append((tree, tree.vertices() - terminals))
-    return _family_report(order, terminals, members)
+    return verify_witness_trees(order, doc.k, i_norm, trees)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,8 +313,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     report = verify_document(parse_document(text))
@@ -378,3 +356,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

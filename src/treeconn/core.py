@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class TreeconnError(Exception):
@@ -143,11 +143,6 @@ class Tree:
             verts.add(yv(y))
         return frozenset(verts)
 
-    def degree(self, v: Vertex) -> int:
-        if v.side is Side.X:
-            return sum(1 for x, _ in self.edges if x == v.index)
-        return sum(1 for _, y in self.edges if y == v.index)
-
 
 @dataclass(frozen=True)
 class TerminalSet:
@@ -228,6 +223,75 @@ def _report(kind: str, detail: str) -> ValidationReport:
     return ValidationReport((Violation(kind, detail),))
 
 
+def _vertex_id(order: BipartiteOrder, v: Vertex) -> int | None:
+    """Union-find id of a vertex (x_s is s, y_s is a + s); None off the host."""
+    if v.side is Side.X:
+        return v.index if 1 <= v.index <= order.a else None
+    return order.a + v.index if 1 <= v.index <= order.b else None
+
+
+def _grow_tree(
+    order: BipartiteOrder, edges: Sequence[tuple[int, int]]
+) -> tuple[Violation | None, dict[int, int]]:
+    """Union-find over one edge list, with x_s as s and y_t as a + t.
+
+    Returns the first ``out-of-range``, ``cycle`` or ``disconnected``
+    defect (checked in that order; a repeated edge closes a cycle) and the
+    union-find's parent map, whose keys are exactly the tree's vertices.
+    """
+    a, b = order.a, order.b
+    for x, y in edges:
+        if not 1 <= x <= a or not 1 <= y <= b:
+            return Violation("out-of-range", f"edge (x{x}, y{y}) outside {a}x{b}"), {}
+
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for x, y in edges:
+        w = a + y
+        parent.setdefault(x, x)
+        parent.setdefault(w, w)
+        rx, ry = find(x), find(w)
+        if rx == ry:
+            return Violation("cycle", f"edge (x{x}, y{y}) closes a cycle"), parent
+        parent[rx] = ry
+
+    # An acyclic edge set on V vertices has V - |E| components.
+    if edges and len(parent) != len(edges) + 1:
+        return Violation("disconnected", "edge set splits into several components"), parent
+    return None, parent
+
+
+def _uncovered(
+    order: BipartiteOrder,
+    parent: dict[int, int],
+    x_terminals: int,
+    y_terminals: int,
+    extras: Iterable[Vertex],
+) -> Violation | None:
+    """``missing-terminal`` for the smallest required vertex a tree lacks.
+
+    Required are x_1..x_{x_terminals}, y_1..y_{y_terminals} and ``extras``.
+    Each side's scan stops at its first gap, which lies within
+    len(parent) + 1 steps, so a header claiming a huge host costs nothing.
+    """
+    missing = [v for v in extras if _vertex_id(order, v) not in parent]
+    for side, count, offset in ((Side.X, x_terminals, 0), (Side.Y, y_terminals, order.a)):
+        gap = next((s for s in range(1, count + 1) if offset + s not in parent), None)
+        if gap is not None:
+            missing.append(Vertex(side, gap))
+    if not missing:
+        return None
+    if not parent:
+        return Violation("missing-terminal", "tree has no edges")
+    return Violation("missing-terminal", f"{min(missing)} not covered")
+
+
 def validate_tree(
     order: BipartiteOrder,
     required_vertices: Iterable[Vertex],
@@ -240,49 +304,66 @@ def validate_tree(
     ``missing-terminal`` (checked in that order).  Duplicate edges count
     as a cycle.
     """
+    defect, parent = _grow_tree(order, tree.edges)
+    if defect is None:
+        defect = _uncovered(order, parent, 0, 0, required_vertices)
+    return ValidationReport(() if defect is None else (defect,))
+
+
+def verify_family(
+    order: BipartiteOrder,
+    trees: Sequence[Sequence[tuple[int, int]]],
+    x_terminals: int,
+    y_terminals: int,
+    target: int,
+    hubs: Sequence[Iterable[Vertex]] | None = None,
+) -> ValidationReport:
+    """Check, in one pass, a maximum family of internally disjoint trees.
+
+    The trees must connect S = {x_1..x_{x_terminals}} + {y_1..y_{y_terminals}}
+    (all a + b vertices for a spanning-tree packing), share no edge, and
+    meet only in S.  Each tree gets the checks of ``validate_tree``, with
+    S and its entry of ``hubs`` (declared hub vertices) required.  Across
+    trees every edge, and every vertex outside S, has one owner: the first
+    tree that used it.  The lexicographically smallest pair of trees that
+    share anything is reported, as ``vertex-overlap`` with the smallest
+    shared vertex outside S, or else ``edge-overlap`` with the smallest
+    shared edge.  A sound family of fewer than ``target`` trees is
+    ``not-maximum``.  Per-tree defects win over overlaps, and overlaps
+    over the count.  Work is linear in the number of edges given.
+    """
     a = order.a
-    for x, y in tree.edges:
-        if not 1 <= x <= a or not 1 <= y <= order.b:
-            return _report("out-of-range", f"edge (x{x}, y{y}) outside {order.a}x{order.b}")
+    terminal_count = x_terminals + y_terminals
+    edge_owner: dict[tuple[int, int], int] = {}
+    vertex_owner: dict[int, int] = {}
+    # (first tree, second tree, 0 for a vertex or 1 for an edge, culprit)
+    clash: tuple | None = None
+    for index, edges in enumerate(trees):
+        defect, parent = _grow_tree(order, edges)
+        if defect is None:
+            extras = hubs[index] if hubs is not None else ()
+            defect = _uncovered(order, parent, x_terminals, y_terminals, extras)
+        if defect is not None:
+            return ValidationReport((defect,))
+        for edge in edges:
+            owner = edge_owner.setdefault(edge, index)
+            if owner != index and (clash is None or (owner, index, 1, edge) < clash):
+                clash = (owner, index, 1, edge)
+        if len(parent) > terminal_count:  # the tree has vertices outside S
+            for v in parent:
+                if v <= x_terminals or a < v <= a + y_terminals:
+                    continue
+                owner = vertex_owner.setdefault(v, index)
+                if owner != index and (clash is None or (owner, index, 0, v) < clash):
+                    clash = (owner, index, 0, v)
 
-    required = frozenset(required_vertices)
-    if not tree.edges:
-        if required:
-            return _report("missing-terminal", "tree has no edges")
-        return ValidationReport()
-
-    # Union-find over the induced vertex set (x_i as i, y_j as a + j): a
-    # repeated union closes a cycle, more than one final root means
-    # disconnected.
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for x, y in tree.edges:
-        w = a + y
-        if x not in parent:
-            parent[x] = x
-        if w not in parent:
-            parent[w] = w
-        rx, ry = find(x), find(w)
-        if rx == ry:
-            return _report("cycle", f"edge (x{x}, y{y}) closes a cycle")
-        parent[rx] = ry
-
-    root = find(next(iter(parent)))
-    if any(find(v) != root for v in parent):
-        return _report("disconnected", "edge set splits into several components")
-
-    missing = [
-        v
-        for v in required
-        if (v.index if v.side is Side.X else a + v.index) not in parent
-    ]
-    if missing:
-        return _report("missing-terminal", f"{min(missing)} not covered")
-
+    if clash is not None:
+        first, second, rank, culprit = clash
+        if rank == 0:
+            vertex = xv(culprit) if culprit <= a else yv(culprit - a)
+            return _report("vertex-overlap", f"trees {first} and {second} share {vertex}")
+        x, y = culprit
+        return _report("edge-overlap", f"trees {first} and {second} share edge (x{x}, y{y})")
+    if len(trees) < target:
+        return _report("not-maximum", f"{len(trees)} trees, the maximum is {target}")
     return ValidationReport()

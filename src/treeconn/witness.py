@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator, Sequence
 
 from .connectivity import kappa_terminal
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
     Vertex,
     Violation,
     terminal_set,
-    validate_tree,
+    verify_family,
     xv,
     yv,
 )
@@ -81,6 +82,10 @@ class ResidualLedger:
         self._free: set[tuple[int, int]] = {
             (x, y) for x in range(1, x_count + 1) for y in range(1, y_count + 1)
         }
+        # Each terminal's partners in ascending order, made on its first
+        # take.  Edges only ever leave ``_free``, so a partner found used
+        # can be dropped from the queue for good.
+        self._partners: dict[Vertex, Iterator[int]] = {}
 
     def consume(self, x: int, y: int) -> None:
         """Mark one internal edge as used."""
@@ -96,18 +101,16 @@ class ResidualLedger:
 
     def take_lowest(self, v: Vertex) -> tuple[int, int]:
         """Pop the lowest-indexed remaining internal edge at a terminal."""
-        if v.side is Side.X:
-            partners = sorted(y for x, y in self._free if x == v.index)
-            if not partners:
-                raise ConstructionBugError(f"no internal edges left at {v}")
-            edge = (v.index, partners[0])
-        else:
-            partners = sorted(x for x, y in self._free if y == v.index)
-            if not partners:
-                raise ConstructionBugError(f"no internal edges left at {v}")
-            edge = (partners[0], v.index)
-        self._free.remove(edge)
-        return edge
+        queue = self._partners.get(v)
+        if queue is None:
+            limit = self.y_count if v.side is Side.X else self.x_count
+            queue = self._partners[v] = iter(range(1, limit + 1))
+        for partner in queue:
+            edge = (v.index, partner) if v.side is Side.X else (partner, v.index)
+            if edge in self._free:
+                self._free.remove(edge)
+                return edge
+        raise ConstructionBugError(f"no internal edges left at {v}")
 
 
 def build_a2_trees(
@@ -253,49 +256,40 @@ def build_witness(order: BipartiteOrder, k: int, i: int) -> SteinerWitness:
     return SteinerWitness(terminal=terminal, trees=trees)
 
 
-def _family_report(
+def verify_witness_trees(
     order: BipartiteOrder,
-    terminals: frozenset[Vertex],
-    members: list[tuple[Tree, frozenset[Vertex]]],
+    k: int,
+    i: int,
+    trees: Sequence[Sequence[tuple[int, int]]],
+    hubs: Sequence[Iterable[Vertex]] | None = None,
 ) -> ValidationReport:
-    """Shared checks for witness families: per-tree shape, then pairwise."""
-    vertex_sets = []
-    for tree, extras in members:
-        report = validate_tree(order, terminals | extras, tree)
-        if not report.ok:
-            kind = "wrong-terminals" if report.first_kind == "missing-terminal" else "bad-tree"
-            return ValidationReport((Violation(kind, str(report.violations[0])),))
-        vertex_sets.append(tree.vertices())
-    for p1 in range(len(members)):
-        for p2 in range(p1 + 1, len(members)):
-            shared_vertices = vertex_sets[p1] & vertex_sets[p2]
-            if shared_vertices != terminals:
-                culprit = min(shared_vertices - terminals)
-                return ValidationReport(
-                    (Violation("vertex-overlap", f"trees {p1} and {p2} share {culprit}"),)
-                )
-            shared_edges = members[p1][0].edge_set & members[p2][0].edge_set
-            if shared_edges:
-                x, y = min(shared_edges)
-                return ValidationReport(
-                    (Violation("edge-overlap", f"trees {p1} and {p2} share edge (x{x}, y{y})"),)
-                )
-    return ValidationReport()
+    """``verify_witness`` on bare edge lists, with optional declared hubs.
+
+    The trees must connect S_i, be internally disjoint, and number
+    kappa(S_i).  Kinds: ``bad-tree`` (not a tree / out of range),
+    ``wrong-terminals`` (a tree misses a terminal or a declared hub, or
+    the profile itself is invalid), ``vertex-overlap``, ``edge-overlap``
+    and ``not-maximum``.
+    """
+    try:
+        target = kappa_terminal(order, k, i).kappa
+    except InvalidTerminalSetError as exc:
+        return ValidationReport((Violation("wrong-terminals", str(exc)),))
+    report = verify_family(order, trees, i, k - i, target, hubs)
+    kind = report.first_kind
+    if kind in ("out-of-range", "cycle", "disconnected", "missing-terminal"):
+        coarse = "wrong-terminals" if kind == "missing-terminal" else "bad-tree"
+        return ValidationReport((Violation(coarse, str(report.violations[0])),))
+    return report
 
 
 def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> ValidationReport:
-    """Check a witness: valid trees over S_i, no shared edges, no shared hubs.
-
-    Kinds: ``bad-tree`` (not a tree / out of range), ``wrong-terminals``
-    (a tree misses a terminal or a declared hub, or the profile itself is
-    invalid), ``vertex-overlap`` and ``edge-overlap``.
-    """
-    try:
-        terminal_set(order, witness.terminal.k, witness.terminal.i)
-    except InvalidTerminalSetError as exc:
-        return ValidationReport((Violation("wrong-terminals", str(exc)),))
-    return _family_report(
+    """Check a witness: valid trees over S_i, no shared edges, no shared
+    hubs, and as many trees as kappa(S_i); see ``verify_witness_trees``."""
+    return verify_witness_trees(
         order,
-        witness.terminal.vertices(),
-        [(ct.tree, ct.extras) for ct in witness.trees],
+        witness.terminal.k,
+        witness.terminal.i,
+        [ct.tree.edges for ct in witness.trees],
+        [ct.extras for ct in witness.trees],
     )

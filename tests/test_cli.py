@@ -1,6 +1,10 @@
 """Tests for the command-line interface and certificate documents."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,61 @@ class TestVerifyCommand:
         assert code == 2
         assert "vertex-overlap" in err
 
+    def test_empty_packing_is_not_maximum(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("not-maximum")
+
+    @pytest.mark.parametrize("args", [
+        ["pack", "--a", "4", "--b", "6"],
+        ["pack", "--a", "6", "--b", "4"],
+        ["witness", "--a", "4", "--b", "6", "--k", "7"],
+        ["witness", "--a", "6", "--b", "4", "--k", "7"],
+        ["witness", "--a", "5", "--b", "3", "--k", "4", "--i", "4"],
+    ])
+    def test_one_tree_short_is_not_maximum(self, capsys, tmp_path, args):
+        _, out, _ = _run(capsys, *args)
+        doc = json.loads(out)
+        assert len(doc["trees"]) >= 2
+        for position in (0, -1):
+            short = dict(doc, trees=[t for n, t in enumerate(doc["trees"])
+                                     if n != position % len(doc["trees"])])
+            path = tmp_path / "short.json"
+            path.write_text(json.dumps(short))
+            code, _, err = _run(capsys, "verify", "--input", str(path))
+            assert code == 2
+            assert err.startswith("not-maximum")
+
+    def test_structural_defect_wins_over_count(self, capsys, tmp_path):
+        _, out, _ = _run(capsys, "pack", "--a", "6", "--b", "8")
+        doc = json.loads(out)
+        assert len(doc["trees"]) == 3
+        doc["trees"] = [doc["trees"][0], doc["trees"][0]]  # one short, and overlapping
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert err.startswith("edge-overlap")
+
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{\x00")
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = _run(capsys, "verify", "--input", str(tmp_path / "absent.json"))
         assert code == 1
@@ -258,3 +317,20 @@ class TestDocumentLayer:
         order = normalize(3, 4)
         doc = witness_document(order, build_witness(order, 5, 1))
         assert emit_dot(doc) == emit_dot(doc)
+
+
+@pytest.mark.parametrize("module", ["treeconn", "treeconn.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    import treeconn
+
+    path = tmp_path / "under-full.json"
+    path.write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
+    src = str(Path(treeconn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("not-maximum")
