@@ -8,12 +8,20 @@ Candidate trees are restricted to those whose every leaf is a terminal.
 This loses nothing: pruning a non-terminal leaf from any tree keeps the
 terminals connected and only shrinks its edge and vertex footprint, so
 some maximum packing consists of leaf-pruned trees.
+
+Both stages prune without changing any result.  The enumeration holds
+every spare (non-terminal) vertex to degree at least 2 while it
+recurses, so a tree with a spare leaf is never built.  The search checks
+a child's free-edge and tightest-terminal bounds from its used edges
+before it filters the child's compatible candidates, and skips a child
+that cannot beat the best packing found so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from .core import InstanceTooLargeError, InvalidArgumentError
 
@@ -73,16 +81,33 @@ def bipartite_terminal_vertices(a: int, b: int, k: int, i: int) -> frozenset[int
     return frozenset(range(i)) | frozenset(range(a, a + (k - i)))
 
 
-def _spanning_trees(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """All spanning trees of a connected graph, as tuples of edge indices.
+def _spanning_trees(
+    n: int, edges: list[tuple[int, int]], spares: Iterable[int] = ()
+) -> list[tuple[int, ...]]:
+    """Spanning trees of a graph, as increasing tuples of edge indices.
 
     Include/exclude recursion along the edge list: every tree is emitted
-    exactly once.  The exclude branch is cut as soon as the remaining
-    edges can no longer join the current components.
+    exactly once, in lexicographic order, and none when the graph is
+    disconnected.  The exclude branch is cut as soon as the remaining
+    edges can no longer join the two ends of the excluded edge.
+
+    Vertices listed in ``spares`` must end with degree at least 2, and
+    only such trees are emitted.  A spare's slack is its chosen plus its
+    undecided edges, less 2: the exclude branch is cut when a spare has
+    no slack left.  A branch is also cut when the spares' missing degree
+    exceeds twice the edges the tree still needs, since each edge adds
+    one to the degree of two vertices.
     """
     m = len(edges)
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    slack = [m] * n  # more than a non-spare vertex can lose
+    need = [0] * n  # degree a spare still lacks
+    for s in spares:
+        slack[s] = sum(s in e for e in edges) - 2
+        need[s] = 2
+        if slack[s] < 0:
+            return out
 
     def find(parent: list[int], v: int) -> int:
         while parent[v] != v:
@@ -90,19 +115,27 @@ def _spanning_trees(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...
             v = parent[v]
         return v
 
-    def still_connectable(parent: list[int], idx: int, comps: int) -> bool:
+    def rejoinable(parent: list[int], idx: int, ru: int, rv: int) -> bool:
+        """Whether edges idx.. join the components rooted at ru and rv."""
         trial = parent.copy()
         for j in range(idx, m):
-            u, v = edges[j]
-            ru, rv = find(trial, u), find(trial, v)
-            if ru != rv:
-                trial[ru] = rv
-                comps -= 1
-                if comps == 1:
+            x, y = edges[j]
+            rx, ry = find(trial, x), find(trial, y)
+            if rx != ry:
+                trial[rx] = ry
+                if ru == rx:
+                    ru = ry
+                if rv == rx:
+                    rv = ry
+                if ru == rv:
                     return True
-        return comps == 1
+        return False
 
-    def rec(idx: int, parent: list[int], comps: int) -> None:
+    def rec(idx: int, parent: list[int], comps: int, deficit: int) -> None:
+        # Invariant: the remaining edges can still join all components, so
+        # dropping an edge only needs its own two ends to be rejoined.
+        if deficit > 2 * (comps - 1):
+            return
         if comps == 1:
             out.append(tuple(chosen))
             return
@@ -113,17 +146,38 @@ def _spanning_trees(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...
         if ru != rv:
             merged = parent.copy()
             merged[ru] = rv
+            need_u, need_v = need[u], need[v]
+            if need_u:
+                need[u] = need_u - 1
+            if need_v:
+                need[v] = need_v - 1
             chosen.append(idx)
-            rec(idx + 1, merged, comps - 1)
+            rec(idx + 1, merged, comps - 1, deficit - (need_u > 0) - (need_v > 0))
             chosen.pop()
-        if still_connectable(parent, idx + 1, comps):
-            rec(idx + 1, parent, comps)
+            need[u] = need_u
+            need[v] = need_v
+        slack_u, slack_v = slack[u], slack[v]
+        if slack_u and slack_v:
+            slack[u] = slack_u - 1
+            slack[v] = slack_v - 1
+            if ru == rv or rejoinable(parent, idx + 1, ru, rv):
+                rec(idx + 1, parent, comps, deficit)
+            slack[u] = slack_u
+            slack[v] = slack_v
 
-    rec(0, list(range(n)), n)
+    parent = list(range(n))
+    comps = n
+    for u, v in edges:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    if comps == 1:
+        rec(0, list(range(n)), n, sum(need))
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Candidate:
     edge_mask: int
     extra_mask: int
@@ -148,10 +202,13 @@ def _max_disjoint(
 
     Two candidates are compatible when they share no edge and no
     non-terminal vertex.  Pruning: remaining candidate count, free-edge
-    budget (every tree needs at least k-1 edges), and the free degree at
-    the tightest terminal (every tree touches every terminal).  The
-    search stops once the root bound is attained, and is a deterministic
-    function of the candidate order.
+    budget (every later tree has at least as many edges as the next
+    candidate, and at least k-1), and the free degree at the tightest
+    terminal (every tree touches every terminal).  A child's edge and
+    terminal bounds are checked from its used edges alone, before its
+    list of compatible candidates is filtered; a child that would record
+    a new best is always entered.  The search stops once the root bound
+    is attained, and is a deterministic function of the candidate order.
     """
     candidates = sorted(candidates, key=lambda c: (len(c.edges), c.edges))
     root_bound = min(
@@ -164,39 +221,58 @@ def _max_disjoint(
     chosen: list[_Candidate] = []
     done = False
 
-    def dfs(avail: list[_Candidate], used_edges: int) -> None:
+    def cap(used_edges: int, tree_edges: int) -> int:
+        """Trees of at least ``tree_edges`` edges that still fit by free
+        edges and by the tightest terminal."""
+        free = edge_count - used_edges.bit_count()
+        tightest = min((mask & ~used_edges).bit_count() for mask in terminal_masks)
+        return min(free // tree_edges, tightest)
+
+    def dfs(avail: list[_Candidate], used_edges: int, room: int) -> None:
         nonlocal best_count, best, done
-        if len(chosen) > best_count:
-            best_count = len(chosen)
+        depth = len(chosen)
+        if depth > best_count:
+            best_count = depth
             best = tuple(c.edges for c in chosen)
             if best_count >= root_bound:
                 done = True
                 return
-        free = edge_count - used_edges.bit_count()
-        tightest = min((mask & ~used_edges).bit_count() for mask in terminal_masks)
-        if len(chosen) + min(len(avail), free // (k - 1), tightest) <= best_count:
+        if depth + min(len(avail), room) <= best_count:
             return
         for pos, cand in enumerate(avail):
-            if len(chosen) + len(avail) - pos <= best_count:
+            if depth + len(avail) - pos <= best_count:
                 return
+            if pos + 1 == len(avail):
+                child_room = 0
+            else:
+                # avail is sorted by size, so no later tree is smaller than the next
+                child_room = cap(used_edges | cand.edge_mask, len(avail[pos + 1].edges))
+            if depth + 1 + child_room <= best_count:
+                continue
             rest = [
                 c
                 for c in avail[pos + 1 :]
                 if not (c.edge_mask & cand.edge_mask) and not (c.extra_mask & cand.extra_mask)
             ]
             chosen.append(cand)
-            dfs(rest, used_edges | cand.edge_mask)
+            dfs(rest, used_edges | cand.edge_mask, child_room)
             chosen.pop()
             if done:
                 return
 
-    dfs(candidates, 0)
+    dfs(candidates, 0, cap(0, k - 1))
     return TreeSetResult(count=best_count, trees=best)
 
 
 def _terminal_tree_candidates(graph: SmallGraph, terminals: frozenset[int]) -> list[_Candidate]:
-    """Every subtree connecting the terminals whose leaves are all terminals."""
-    edge_index = {e: idx for idx, e in enumerate(graph.edges)}
+    """Every subtree connecting the terminals whose leaves are all terminals.
+
+    For each set of spare (non-terminal) vertices, the spanning trees of
+    the induced subgraph are enumerated with every spare held to degree
+    at least 2, so no tree with a spare leaf is built.  Local edge
+    indices follow the order of ``graph.edges``, so a tree's edges map
+    back to the host in sorted order.
+    """
     spares = [v for v in range(graph.n) if v not in terminals]
     base = sorted(terminals)
     out: list[_Candidate] = []
@@ -204,37 +280,37 @@ def _terminal_tree_candidates(graph: SmallGraph, terminals: frozenset[int]) -> l
         for extra_combo in combinations(spares, size):
             vertices = base + list(extra_combo)
             local = {v: idx for idx, v in enumerate(vertices)}
-            sub_edges = [
-                (local[u], local[v]) for u, v in graph.edges if u in local and v in local
-            ]
+            sub_edges: list[tuple[int, int]] = []
+            host_edges: list[tuple[int, int]] = []
+            host_bits: list[int] = []
+            for idx, (u, v) in enumerate(graph.edges):
+                if u in local and v in local:
+                    sub_edges.append((local[u], local[v]))
+                    host_edges.append((u, v))
+                    host_bits.append(1 << idx)
             if len(sub_edges) < len(vertices) - 1:
                 continue
             extra_mask = sum(1 << v for v in extra_combo)
-            for tree in _spanning_trees(len(vertices), sub_edges):
-                degree = [0] * len(vertices)
-                for idx in tree:
-                    u, v = sub_edges[idx]
-                    degree[u] += 1
-                    degree[v] += 1
-                if any(degree[local[v]] < 2 for v in extra_combo):
-                    continue
-                real = tuple(
-                    sorted(
-                        (vertices[sub_edges[idx][0]], vertices[sub_edges[idx][1]])
-                        for idx in tree
-                    )
-                )
-                out.append(
-                    _Candidate(
-                        edge_mask=sum(1 << edge_index[e] for e in real),
-                        extra_mask=extra_mask,
-                        edges=real,
-                    )
-                )
+            trees = _spanning_trees(len(vertices), sub_edges, range(len(base), len(vertices)))
+            out.extend(_candidates(trees, host_edges, host_bits, extra_mask))
     return out
 
 
-def oracle_max_tree_set(graph: SmallGraph, terminals: frozenset[int]) -> TreeSetResult:
+def _candidates(
+    trees: Iterable[tuple[int, ...]],
+    host_edges: Sequence[tuple[int, int]],
+    host_bits: Sequence[int],
+    extra_mask: int,
+) -> list[_Candidate]:
+    """Trees given by increasing local edge indices, as candidates.
+
+    Local edge j is host edge ``host_edges[j]`` with mask bit ``host_bits[j]``.
+    """
+    edge_of, bit_of = host_edges.__getitem__, host_bits.__getitem__
+    return [_Candidate(sum(map(bit_of, t)), extra_mask, tuple(map(edge_of, t))) for t in trees]
+
+
+def oracle_max_tree_set(graph: SmallGraph, terminals: Iterable[int]) -> TreeSetResult:
     """Exact maximum set of internally disjoint trees connecting the terminals.
 
     The trees are pairwise edge-disjoint, each contains every terminal,
@@ -242,6 +318,7 @@ def oracle_max_tree_set(graph: SmallGraph, terminals: frozenset[int]) -> TreeSet
     """
     if graph.n > MAX_TREE_SET_VERTICES:
         raise InstanceTooLargeError(f"{graph.n} vertices exceeds guard {MAX_TREE_SET_VERTICES}")
+    terminals = frozenset(terminals)
     if len(terminals) < 2:
         raise InvalidArgumentError("need at least two terminals")
     if not terminals <= set(range(graph.n)):
@@ -265,14 +342,8 @@ def oracle_spanning_packing(a: int, b: int) -> int:
     graph = complete_bipartite(a, b)
     n = graph.n
     edge_list = list(graph.edges)
-    candidates = [
-        _Candidate(
-            edge_mask=sum(1 << idx for idx in tree),
-            extra_mask=0,
-            edges=tuple(sorted(edge_list[idx] for idx in tree)),
-        )
-        for tree in _spanning_trees(n, edge_list)
-    ]
+    host_bits = [1 << idx for idx in range(len(edge_list))]
+    candidates = _candidates(_spanning_trees(n, edge_list), edge_list, host_bits, 0)
     terminal_masks = [
         sum(1 << idx for idx, (u, v) in enumerate(edge_list) if s in (u, v)) for s in range(n)
     ]

@@ -94,6 +94,33 @@ def test_criterion_2_closed_form_matches_oracle():
     )
 
 
+def test_criterion_2_extends_to_nine_vertices():
+    # oracle_kappa_k stops at a + b = 8, so the minimum over profiles is taken here
+    started = time.perf_counter()
+    failures = []
+    for a in range(1, 5):
+        b = 9 - a
+        order = normalize(a, b)
+        graph = complete_bipartite(a, b)
+        for k in range(2, 10):
+            exact = {
+                i: oracle_max_tree_set(graph, bipartite_terminal_vertices(a, b, k, i)).count
+                for i in terminal_range(order, k)
+            }
+            for i, count in exact.items():
+                if kappa_terminal(order, k, i).kappa != count:
+                    failures.append((a, b, k, i, "terminal"))
+            if kappa_bipartite(order, k) != min(exact.values()):
+                failures.append((a, b, k, "kappa"))
+    _report(
+        2,
+        "closed forms equal the brute-force oracle for a + b = 9, every k and profile",
+        failures,
+        time.perf_counter() - started,
+        120.0,
+    )
+
+
 def test_criterion_3_packing_count_matches_oracle():
     started = time.perf_counter()
     failures = []

@@ -1,6 +1,10 @@
 """Tests for the brute-force oracle."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeconn import (
     InstanceTooLargeError,
@@ -12,6 +16,14 @@ from treeconn import (
     oracle_kappa_k,
     oracle_max_tree_set,
     oracle_spanning_packing,
+)
+from treeconn.oracle import (
+    TreeSetResult,
+    _Candidate,
+    _candidates,
+    _max_disjoint,
+    _spanning_trees,
+    _terminal_tree_candidates,
 )
 
 
@@ -131,3 +143,227 @@ class TestSmallGraph:
 
     def test_complete_graph_edge_count(self):
         assert len(complete_graph(6).edges) == 15
+
+
+# --- Exactness of the pruned enumeration and search -----------------------
+#
+# The reference below enumerates every spanning tree of every induced
+# subgraph and then discards the trees with a spare leaf, and its search
+# filters each child's candidate list before checking any bound.  The
+# pruned oracle must return exactly what it returns.
+
+
+def _reference_spanning_trees(n, edges):
+    m = len(edges)
+    out = []
+    chosen = []
+
+    def find(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def still_connectable(parent, idx, comps):
+        trial = parent.copy()
+        for j in range(idx, m):
+            u, v = edges[j]
+            ru, rv = find(trial, u), find(trial, v)
+            if ru != rv:
+                trial[ru] = rv
+                comps -= 1
+                if comps == 1:
+                    return True
+        return comps == 1
+
+    def rec(idx, parent, comps):
+        if comps == 1:
+            out.append(tuple(chosen))
+            return
+        if m - idx < comps - 1:
+            return
+        u, v = edges[idx]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            merged = parent.copy()
+            merged[ru] = rv
+            chosen.append(idx)
+            rec(idx + 1, merged, comps - 1)
+            chosen.pop()
+        if still_connectable(parent, idx + 1, comps):
+            rec(idx + 1, parent, comps)
+
+    rec(0, list(range(n)), n)
+    return out
+
+
+def _reference_candidates(graph, terminals):
+    edge_index = {e: idx for idx, e in enumerate(graph.edges)}
+    spares = [v for v in range(graph.n) if v not in terminals]
+    base = sorted(terminals)
+    out = []
+    for size in range(len(spares) + 1):
+        for extra_combo in combinations(spares, size):
+            vertices = base + list(extra_combo)
+            local = {v: idx for idx, v in enumerate(vertices)}
+            sub_edges = [
+                (local[u], local[v]) for u, v in graph.edges if u in local and v in local
+            ]
+            if len(sub_edges) < len(vertices) - 1:
+                continue
+            extra_mask = sum(1 << v for v in extra_combo)
+            for tree in _reference_spanning_trees(len(vertices), sub_edges):
+                degree = [0] * len(vertices)
+                for idx in tree:
+                    u, v = sub_edges[idx]
+                    degree[u] += 1
+                    degree[v] += 1
+                if any(degree[local[v]] < 2 for v in extra_combo):
+                    continue
+                real = tuple(
+                    sorted(
+                        (vertices[sub_edges[idx][0]], vertices[sub_edges[idx][1]])
+                        for idx in tree
+                    )
+                )
+                out.append(
+                    _Candidate(
+                        edge_mask=sum(1 << edge_index[e] for e in real),
+                        extra_mask=extra_mask,
+                        edges=real,
+                    )
+                )
+    return out
+
+
+def _reference_max_disjoint(candidates, k, edge_count, terminal_masks):
+    candidates = sorted(candidates, key=lambda c: (len(c.edges), c.edges))
+    root_bound = min(
+        len(candidates),
+        edge_count // (k - 1),
+        min(mask.bit_count() for mask in terminal_masks),
+    )
+    best_count = 0
+    best = ()
+    chosen = []
+    done = False
+
+    def dfs(avail, used_edges):
+        nonlocal best_count, best, done
+        if len(chosen) > best_count:
+            best_count = len(chosen)
+            best = tuple(c.edges for c in chosen)
+            if best_count >= root_bound:
+                done = True
+                return
+        free = edge_count - used_edges.bit_count()
+        tightest = min((mask & ~used_edges).bit_count() for mask in terminal_masks)
+        if len(chosen) + min(len(avail), free // (k - 1), tightest) <= best_count:
+            return
+        for pos, cand in enumerate(avail):
+            if len(chosen) + len(avail) - pos <= best_count:
+                return
+            rest = [
+                c
+                for c in avail[pos + 1 :]
+                if not (c.edge_mask & cand.edge_mask) and not (c.extra_mask & cand.extra_mask)
+            ]
+            chosen.append(cand)
+            dfs(rest, used_edges | cand.edge_mask)
+            chosen.pop()
+            if done:
+                return
+
+    dfs(candidates, 0)
+    return TreeSetResult(count=best_count, trees=best)
+
+
+def _candidate_order(candidates):
+    return sorted(candidates, key=lambda c: (len(c.edges), c.edges))
+
+
+def _terminal_masks(graph, terminals):
+    return [
+        sum(1 << idx for idx, e in enumerate(graph.edges) if s in e) for s in sorted(terminals)
+    ]
+
+
+def _assert_matches_reference(graph, terminals):
+    expected = _reference_candidates(graph, terminals)
+    actual = _terminal_tree_candidates(graph, terminals)
+    assert len(actual) == len(expected)
+    assert _candidate_order(actual) == _candidate_order(expected)
+    reference = _reference_max_disjoint(
+        expected, len(terminals), len(graph.edges), _terminal_masks(graph, terminals)
+    )
+    assert oracle_max_tree_set(graph, terminals) == reference
+
+
+class TestPrunedOracleIsExact:
+    def test_every_profile_up_to_eight_vertices(self):
+        for total in range(2, 9):
+            for a in range(1, total // 2 + 1):
+                b = total - a
+                graph = complete_bipartite(a, b)
+                for k in range(2, total + 1):
+                    for i in range(max(0, k - b), min(a, k) + 1):
+                        _assert_matches_reference(
+                            graph, bipartite_terminal_vertices(a, b, k, i)
+                        )
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complete_graphs(self, n):
+        graph = complete_graph(n)
+        for size in range(2, n + 1):
+            _assert_matches_reference(graph, frozenset(range(size)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_connected_graphs(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=7), label="n")
+        # a random spanning tree keeps the graph connected; extra edges are free
+        edges = {
+            (data.draw(st.integers(min_value=0, max_value=v - 1), label=f"parent{v}"), v)
+            for v in range(1, n)
+        }
+        pairs = list(combinations(range(n), 2))
+        edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        graph = SmallGraph(n, tuple(edges))
+        terminals = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, unique=True),
+            label="terminals",
+        )
+        _assert_matches_reference(graph, frozenset(terminals))
+
+    @pytest.mark.parametrize("a,b", [(1, 5), (2, 3), (2, 5), (3, 3), (3, 4), (2, 8), (4, 4)])
+    def test_spanning_packing_path(self, a, b):
+        graph = complete_bipartite(a, b)
+        edge_list = list(graph.edges)
+        trees = _reference_spanning_trees(graph.n, edge_list)
+        assert _spanning_trees(graph.n, edge_list) == trees
+        expected = [
+            _Candidate(
+                edge_mask=sum(1 << idx for idx in tree),
+                extra_mask=0,
+                edges=tuple(sorted(edge_list[idx] for idx in tree)),
+            )
+            for tree in trees
+        ]
+        bits = [1 << idx for idx in range(len(edge_list))]
+        assert _candidates(trees, edge_list, bits, 0) == expected
+        masks = _terminal_masks(graph, range(graph.n))
+        reference = _reference_max_disjoint(expected, graph.n, len(edge_list), masks)
+        assert _max_disjoint(expected, graph.n, len(edge_list), masks) == reference
+        assert oracle_spanning_packing(a, b) == reference.count
+
+
+class TestTerminalArgument:
+    def test_list_of_terminals_is_accepted(self):
+        graph = complete_bipartite(2, 2)
+        assert oracle_max_tree_set(graph, [0, 1]) == oracle_max_tree_set(
+            graph, frozenset({0, 1})
+        )
+
+    def test_repeated_terminal_counts_once(self):
+        with pytest.raises(InvalidArgumentError, match="need at least two terminals"):
+            oracle_max_tree_set(complete_bipartite(2, 2), [0, 0])
