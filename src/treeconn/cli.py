@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,13 +40,10 @@ DOT_PALETTE = (
 
 @dataclass(frozen=True)
 class DocumentTree:
-    """One tree of a certificate document; edges kept lexicographically sorted."""
+    """One tree of a certificate document, as an edge list."""
 
     edges: tuple[tuple[int, int], ...]
     tree_class: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted((x, y) for x, y in self.edges)))
 
 
 @dataclass(frozen=True)
@@ -61,49 +58,67 @@ class CertificateDocument:
     trees: tuple[DocumentTree, ...] = ()
 
 
-def _convert_edges(edges, swapped: bool) -> tuple[tuple[int, int], ...]:
-    if swapped:
-        return tuple((y, x) for x, y in edges)
-    return tuple((x, y) for x, y in edges)
+def _flip(order: BipartiteOrder, k: int, i: int) -> int:
+    """A profile's i in the other labeling: i counts X vertices, so it
+    becomes k - i when the caller named the larger part first.  Self-inverse."""
+    return k - i if order.swapped else i
+
+
+def _flip_side(order: BipartiteOrder, side: Side | None) -> Side | None:
+    """A part in the other labeling (see ``_flip``).  Self-inverse."""
+    if side is None or not order.swapped:
+        return side
+    return Side.Y if side is Side.X else Side.X
+
+
+def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
+    """``doc`` in the other labeling: when the caller named the larger part
+    first, a and b swap, every edge [x, y] becomes [y, x] and a witness's i
+    becomes k - i.  Self-inverse.
+
+    Each tree keeps its edge order: ``verify`` reads a swapped
+    certificate's edges sorted in the caller's labels, and that order
+    decides which edge a ``cycle`` violation names.
+    """
+    if not order.swapped:
+        return doc
+    return CertificateDocument(
+        kind=doc.kind,
+        a=doc.b,
+        b=doc.a,
+        k=doc.k,
+        i=_flip(order, doc.k, doc.i) if doc.kind == "witness" else doc.i,
+        trees=tuple(
+            DocumentTree(tuple((y, x) for x, y in t.edges), t.tree_class) for t in doc.trees
+        ),
+    )
+
+
+def _caller_document(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
+    """A normalized certificate in the caller's labels, each tree's edges sorted."""
+    doc = _oriented(order, doc)
+    return replace(
+        doc, trees=tuple(DocumentTree(tuple(sorted(t.edges)), t.tree_class) for t in doc.trees)
+    )
 
 
 def packing_document(packing: SpanningTreePacking) -> CertificateDocument:
     """Certificate for a spanning-tree packing, in the caller's orientation."""
     order = packing.order
-    a_out, b_out = (order.b, order.a) if order.swapped else (order.a, order.b)
-    return CertificateDocument(
-        kind="packing",
-        a=a_out,
-        b=b_out,
-        trees=tuple(
-            DocumentTree(edges=_convert_edges(t.edges, order.swapped)) for t in packing.trees
-        ),
-    )
+    trees = tuple(DocumentTree(t.edges) for t in packing.trees)
+    return _caller_document(order, CertificateDocument("packing", order.a, order.b, trees=trees))
 
 
 def witness_document(order: BipartiteOrder, witness: SteinerWitness) -> CertificateDocument:
     """Certificate for a witness, in the caller's orientation."""
+    trees = tuple(DocumentTree(ct.tree.edges, ct.klass.value) for ct in witness.trees)
     k, i = witness.terminal.k, witness.terminal.i
-    a_out, b_out = (order.b, order.a) if order.swapped else (order.a, order.b)
-    i_out = k - i if order.swapped else i
-    return CertificateDocument(
-        kind="witness",
-        a=a_out,
-        b=b_out,
-        k=k,
-        i=i_out,
-        trees=tuple(
-            DocumentTree(
-                edges=_convert_edges(ct.tree.edges, order.swapped),
-                tree_class=ct.klass.value,
-            )
-            for ct in witness.trees
-        ),
-    )
+    return _caller_document(order, CertificateDocument("witness", order.a, order.b, k, i, trees))
 
 
 def emit_json(doc: CertificateDocument) -> str:
-    """Canonical JSON: fixed key order, per-tree edges sorted, no whitespace."""
+    """Canonical JSON: fixed key order, no whitespace, each tree's edges in
+    document order (sorted, for documents this module makes)."""
     payload: dict = {"kind": doc.kind, "a": doc.a, "b": doc.b}
     if doc.k is not None:
         payload["k"] = doc.k
@@ -114,7 +129,7 @@ def emit_json(doc: CertificateDocument) -> str:
         entry: dict = {}
         if t.tree_class is not None:
             entry["class"] = t.tree_class
-        entry["edges"] = [list(e) for e in sorted(t.edges)]
+        entry["edges"] = t.edges
         trees.append(entry)
     payload["trees"] = trees
     return json.dumps(payload, separators=(",", ":"))
@@ -136,7 +151,7 @@ def emit_dot(doc: CertificateDocument) -> str:
         lines.append(f"  {name} [shape=box];" if name in terminal_names else f"  {name};")
     for index, tree in enumerate(doc.trees):
         color = DOT_PALETTE[index % len(DOT_PALETTE)]
-        for x, y in sorted(tree.edges):
+        for x, y in tree.edges:
             lines.append(f'  x{x} -- y{y} [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -189,22 +204,21 @@ def parse_document(text: str) -> CertificateDocument:
             ):
                 raise InvalidArgumentError(f"tree {position} has a malformed edge {edge!r}")
             edges.append((edge[0], edge[1]))
-        trees.append(DocumentTree(edges=tuple(edges), tree_class=tree_class))
+        trees.append(DocumentTree(edges=tuple(sorted(edges)), tree_class=tree_class))
     return CertificateDocument(kind=kind, a=a, b=b, k=k, i=i, trees=tuple(trees))
 
 
 def verify_document(doc: CertificateDocument) -> ValidationReport:
     """Re-validate a certificate document: sound trees, and as many as the
-    closed form allows (see ``verify_family`` and ``verify_witness_trees``)."""
+    closed form allows (see ``verify_family`` and ``verify_witness_trees``).
+    Violations name vertices in the normalized a <= b labels."""
     order = normalize(doc.a, doc.b)
+    assert doc.kind == "packing" or (doc.k is not None and doc.i is not None)
+    doc = _oriented(order, doc)
     trees = [t.edges for t in doc.trees]
-    if order.swapped:
-        trees = [_convert_edges(edges, True) for edges in trees]
     if doc.kind == "packing":
         return verify_family(order, trees, order.a, order.b, target_tree_count(order.a, order.b))
-    assert doc.k is not None and doc.i is not None
-    i_norm = doc.k - doc.i if order.swapped else doc.i
-    return verify_witness_trees(order, doc.k, i_norm, trees)
+    return verify_witness_trees(order, doc.k, doc.i, trees)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,24 +273,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profile(order: BipartiteOrder, k: int, i_caller: int | None) -> int:
+    """The normalized i for the caller's ``--i``; by default, the first
+    profile that attains kappa_k."""
+    return min_terminal_index(order, k) if i_caller is None else _flip(order, k, i_caller)
+
+
 def _cmd_kappa(args: argparse.Namespace) -> int:
     order = normalize(args.a, args.b)
-
-    def to_normalized(i_caller: int) -> int:
-        return args.k - i_caller if order.swapped else i_caller
-
     if args.breakdown:
-        if args.i is not None:
-            i_caller = args.i
-        else:
-            i_norm = min_terminal_index(order, args.k)
-            i_caller = args.k - i_norm if order.swapped else i_norm
-        breakdown = kappa_terminal(order, args.k, to_normalized(i_caller))
-        side = breakdown.a1_side
-        if side is not None and order.swapped:
-            side = Side.Y if side is Side.X else Side.X
+        i = _profile(order, args.k, args.i)
+        breakdown = kappa_terminal(order, args.k, i)
+        side = _flip_side(order, breakdown.a1_side)
         payload = {
-            "i": i_caller,
+            "i": _flip(order, args.k, i),
             "a2": breakdown.a2,
             "a1": breakdown.a1,
             "a1_side": side.value if side is not None else "none",
@@ -285,7 +295,7 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, separators=(",", ":")))
     elif args.i is not None:
-        print(kappa_terminal(order, args.k, to_normalized(args.i)).kappa)
+        print(kappa_terminal(order, args.k, _flip(order, args.k, args.i)).kappa)
     else:
         print(kappa_bipartite(order, args.k))
     return 0
@@ -300,11 +310,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     order = normalize(args.a, args.b)
-    if args.i is None:
-        i_norm = min_terminal_index(order, args.k)
-    else:
-        i_norm = args.k - args.i if order.swapped else args.i
-    witness = build_witness(order, args.k, i_norm)
+    witness = build_witness(order, args.k, _profile(order, args.k, args.i))
     doc = witness_document(order, witness)
     emit = emit_json(doc) + "\n" if args.format == "json" else emit_dot(doc)
     sys.stdout.write(emit)

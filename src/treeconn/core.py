@@ -84,23 +84,11 @@ class BipartiteOrder:
         if self.a > self.b:
             raise InvalidArgumentError(f"expected a <= b, got ({self.a}, {self.b}); use normalize()")
 
-    @property
-    def vertex_count(self) -> int:
-        return self.a + self.b
-
-    @property
-    def edge_count(self) -> int:
-        return self.a * self.b
-
     def vertices(self) -> frozenset[Vertex]:
         """All a + b vertices."""
         return frozenset(
             [xv(i) for i in range(1, self.a + 1)] + [yv(j) for j in range(1, self.b + 1)]
         )
-
-    def contains(self, v: Vertex) -> bool:
-        limit = self.a if v.side is Side.X else self.b
-        return 1 <= v.index <= limit
 
 
 def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
@@ -127,9 +115,6 @@ class Tree:
     """
 
     edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(x), int(y)) for x, y in self.edges))
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -325,6 +325,11 @@ def oracle_max_tree_set(graph: SmallGraph, terminals: Iterable[int]) -> TreeSetR
         raise InvalidArgumentError("terminals outside vertex range")
     if not graph.is_connected():
         raise InvalidArgumentError("graph must be connected")
+    return _max_tree_set(graph, terminals)
+
+
+def _max_tree_set(graph: SmallGraph, terminals: frozenset[int]) -> TreeSetResult:
+    """``oracle_max_tree_set`` without its guards: the caller checks them."""
     candidates = _terminal_tree_candidates(graph, terminals)
     terminal_masks = [
         sum(1 << idx for idx, (u, v) in enumerate(graph.edges) if s in (u, v))
@@ -334,20 +339,13 @@ def oracle_max_tree_set(graph: SmallGraph, terminals: Iterable[int]) -> TreeSetR
 
 
 def oracle_spanning_packing(a: int, b: int) -> int:
-    """Exact maximum number of edge-disjoint spanning trees of K_{a,b}."""
+    """Exact maximum number of edge-disjoint spanning trees of K_{a,b}:
+    internally disjoint trees whose terminals are all a + b vertices."""
     if a < 1 or b < 1:
         raise InvalidArgumentError(f"part sizes must be positive, got ({a}, {b})")
     if a * b > MAX_PACKING_EDGE_COUNT:
         raise InstanceTooLargeError(f"{a * b} edges exceeds guard {MAX_PACKING_EDGE_COUNT}")
-    graph = complete_bipartite(a, b)
-    n = graph.n
-    edge_list = list(graph.edges)
-    host_bits = [1 << idx for idx in range(len(edge_list))]
-    candidates = _candidates(_spanning_trees(n, edge_list), edge_list, host_bits, 0)
-    terminal_masks = [
-        sum(1 << idx for idx, (u, v) in enumerate(edge_list) if s in (u, v)) for s in range(n)
-    ]
-    return _max_disjoint(candidates, n, len(edge_list), terminal_masks).count
+    return _max_tree_set(complete_bipartite(a, b), frozenset(range(a + b))).count
 
 
 def oracle_kappa_k(a: int, b: int, k: int) -> int:

@@ -60,14 +60,12 @@ class DegreeSequence:
     i_j = i_{j-1} + d_j - 1, so i_a equals b.  ``quotient`` and
     ``remainder`` split a + b - 1 as quotient*a + remainder; exactly
     ``remainder`` degrees equal quotient+1 and the rest equal quotient.
-    ``shift`` is the t whose residue ordering placed the heavy degrees.
     """
 
     degrees: tuple[int, ...]
     anchors: tuple[int, ...]
     quotient: int
     remainder: int
-    shift: int
 
     @property
     def a(self) -> int:
@@ -103,7 +101,6 @@ def degree_sequence(a: int, b: int, t: int) -> DegreeSequence:
         anchors=tuple(anchors),
         quotient=q,
         remainder=r,
-        shift=t,
     )
 
 

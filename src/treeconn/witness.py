@@ -166,8 +166,6 @@ def build_internal_trees(
     i, m, k = terminal.x_count, terminal.y_count, terminal.k
     if p < 0 or q < 0:
         raise InvalidArgumentError(f"tree counts must be nonnegative, got p={p}, q={q}")
-    if i == 0 or m == 0:
-        raise InvalidArgumentError("internal trees need terminals on both sides")
     cost = i if side is Side.X else m
     if p * (k - 1) + q * cost > i * m:
         raise InvalidArgumentError(
@@ -215,40 +213,21 @@ def build_internal_trees(
 def build_witness(order: BipartiteOrder, k: int, i: int) -> SteinerWitness:
     """A maximum internally disjoint tree set for S_i, sized by kappa_terminal.
 
-    One-sided terminal sets get the forced star witnesses (every opposite
-    vertex hubs one star); otherwise the A2 / A0 / A1 counts of the
-    breakdown are realized directly.
+    The A2 / A0 / A1 counts of the breakdown are realized directly.  A
+    one-sided terminal set has only A1 trees: stars hubbed at every
+    vertex of the other part, which attach no same-side terminal.
     """
     terminal = terminal_set(order, k, i)
     breakdown = kappa_terminal(order, k, i)
-    if i == 0:
-        trees = tuple(
-            ClassifiedTree(
-                tree=Tree(tuple((c, t) for t in range(1, k + 1))),
-                klass=TreeClass.A1,
-                extras=frozenset({xv(c)}),
-            )
-            for c in range(1, order.a + 1)
-        )
-    elif i == k:
-        trees = tuple(
-            ClassifiedTree(
-                tree=Tree(tuple((s, c) for s in range(1, k + 1))),
-                klass=TreeClass.A1,
-                extras=frozenset({yv(c)}),
-            )
-            for c in range(1, order.b + 1)
-        )
-    else:
-        side = breakdown.a1_side if breakdown.a1_side is not None else Side.X
-        trees = build_a2_trees(order, terminal, breakdown.a2) + build_internal_trees(
-            order,
-            terminal,
-            p=breakdown.a0,
-            q=breakdown.a1,
-            side=side,
-            spare_offset=breakdown.a2,
-        )
+    side = breakdown.a1_side if breakdown.a1_side is not None else Side.X
+    trees = build_a2_trees(order, terminal, breakdown.a2) + build_internal_trees(
+        order,
+        terminal,
+        p=breakdown.a0,
+        q=breakdown.a1,
+        side=side,
+        spare_offset=breakdown.a2,
+    )
     if len(trees) != breakdown.kappa:
         raise ConstructionBugError(
             f"built {len(trees)} trees, breakdown promises {breakdown.kappa}"

@@ -19,7 +19,7 @@ from treeconn.cli import (
     verify_document,
     witness_document,
 )
-from treeconn import InvalidArgumentError, build_packing, build_witness, normalize
+from treeconn import InvalidArgumentError, build_packing, build_witness, normalize, terminal_range
 
 
 def _run(capsys, *args):
@@ -248,6 +248,68 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--input", str(path))
         assert code == 1
         assert "error" in err
+
+
+def _mirrored(doc: dict) -> dict:
+    """A certificate named the other way round: a and b swap, i becomes
+    k - i, every edge [x, y] becomes [y, x] (re-sorted); classes stay."""
+    out = dict(doc, a=doc["b"], b=doc["a"])
+    if "i" in doc:
+        out["i"] = doc["k"] - doc["i"]
+    out["trees"] = [dict(t, edges=sorted([y, x] for x, y in t["edges"])) for t in doc["trees"]]
+    return out
+
+
+MIRROR_SIZES = [(a, b) for b in range(2, 8) for a in range(1, b)]
+
+
+class TestMirror:
+    """Naming the larger part first mirrors every output, for every
+    1 <= a < b <= 7, every k and every valid i."""
+
+    def _verify(self, capsys, tmp_path, doc: dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "verify", "--input", str(path))
+        return code, err.split(":")[0]
+
+    def _check_certificate(self, capsys, tmp_path, straight: list, swapped: list):
+        code, out, _ = _run(capsys, *straight)
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = _run(capsys, *swapped)
+        assert code == 0
+        mirror = json.loads(out)
+        assert mirror == _mirrored(doc)
+        assert self._verify(capsys, tmp_path, doc) == (0, "")
+        assert self._verify(capsys, tmp_path, mirror) == (0, "")
+        if len(doc["trees"]) >= 2:
+            x, y = doc["trees"][0]["edges"][0]
+            doc["trees"][1]["edges"].append([x, y])
+            mirror["trees"][1]["edges"].append([y, x])
+            straight_kind = self._verify(capsys, tmp_path, doc)
+            assert straight_kind[0] == 2
+            assert self._verify(capsys, tmp_path, mirror) == straight_kind
+
+    @pytest.mark.parametrize("a, b", MIRROR_SIZES)
+    def test_pack(self, capsys, tmp_path, a, b):
+        self._check_certificate(capsys, tmp_path, ["pack", "--a", str(a), "--b", str(b)],
+                                ["pack", "--a", str(b), "--b", str(a)])
+
+    @pytest.mark.parametrize("a, b", MIRROR_SIZES)
+    def test_witness_and_breakdown(self, capsys, tmp_path, a, b):
+        order = normalize(a, b)
+        for k in range(2, a + b + 1):
+            for i in terminal_range(order, k):
+                straight = ["--a", str(a), "--b", str(b), "--k", str(k), "--i", str(i)]
+                swapped = ["--a", str(b), "--b", str(a), "--k", str(k), "--i", str(k - i)]
+                self._check_certificate(capsys, tmp_path, ["witness", *straight], ["witness", *swapped])
+                _, out, _ = _run(capsys, "kappa", *straight, "--breakdown")
+                left = json.loads(out)
+                _, out, _ = _run(capsys, "kappa", *swapped, "--breakdown")
+                right = json.loads(out)
+                side = {"X": "Y", "Y": "X", "none": "none"}[left["a1_side"]]
+                assert right == dict(left, i=k - i, a1_side=side)
 
 
 class TestOracleCommand:

@@ -108,6 +108,20 @@ class TestInternalTrees:
         with pytest.raises(InvalidArgumentError):
             build_internal_trees(order, terminal_set(order, 3, 0), p=1, q=0, side=Side.X)
 
+    def test_one_sided_terminals_get_stars(self):
+        # No same-side terminal to attach, so each hub tree is a star.
+        order = normalize(3, 4)
+        trees = build_internal_trees(order, terminal_set(order, 4, 0), p=0, q=3, side=Side.X)
+        assert [ct.tree.edges for ct in trees] == [((c, 1), (c, 2), (c, 3), (c, 4)) for c in (1, 2, 3)]
+        assert [ct.extras for ct in trees] == [frozenset({xv(c)}) for c in (1, 2, 3)]
+        assert all(ct.klass is TreeClass.A1 for ct in trees)
+        trees = build_internal_trees(order, terminal_set(order, 3, 3), p=0, q=4, side=Side.Y)
+        assert [ct.tree.edges for ct in trees] == [((1, c), (2, c), (3, c)) for c in (1, 2, 3, 4)]
+        assert [ct.extras for ct in trees] == [frozenset({yv(c)}) for c in (1, 2, 3, 4)]
+        # Y hubs would each need an internal edge per Y terminal: none exist.
+        with pytest.raises(InvalidArgumentError):
+            build_internal_trees(order, terminal_set(order, 4, 0), p=0, q=3, side=Side.Y)
+
     def test_hub_trees_draw_from_ledger(self):
         order = normalize(3, 4)
         # S_1 with k=5: hubs on the X side, each attaching x1 by one internal edge
