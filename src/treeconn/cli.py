@@ -76,9 +76,9 @@ def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDoc
     first, a and b swap, every edge [x, y] becomes [y, x] and a witness's i
     becomes k - i.  Self-inverse.
 
-    Each tree keeps its edge order: ``verify`` reads a swapped
-    certificate's edges sorted in the caller's labels, and that order
-    decides which edge a ``cycle`` violation names.
+    Each tree keeps its edge order; callers sort afterwards, in the labels
+    they need: the document builders in the caller's, ``verify_document``
+    in the normalized ones.
     """
     if not order.swapped:
         return doc
@@ -204,21 +204,24 @@ def parse_document(text: str) -> CertificateDocument:
             ):
                 raise InvalidArgumentError(f"tree {position} has a malformed edge {edge!r}")
             edges.append((edge[0], edge[1]))
-        trees.append(DocumentTree(edges=tuple(sorted(edges)), tree_class=tree_class))
+        trees.append(DocumentTree(edges=tuple(edges), tree_class=tree_class))
     return CertificateDocument(kind=kind, a=a, b=b, k=k, i=i, trees=tuple(trees))
 
 
 def verify_document(doc: CertificateDocument) -> ValidationReport:
-    """Re-validate a certificate document: sound trees, and as many as the
-    closed form allows (see ``verify_family`` and ``verify_witness_trees``).
-    Violations name vertices in the normalized a <= b labels."""
+    """Re-validate a certificate document: sound trees, declared classes that
+    match, and as many trees as the closed form allows (see ``verify_family``
+    and ``verify_witness_trees``).  Each tree is read in sorted order in the
+    normalized a <= b labels, which its violations name, so a certificate
+    and its mirror image report the same violation."""
     order = normalize(doc.a, doc.b)
     assert doc.kind == "packing" or (doc.k is not None and doc.i is not None)
     doc = _oriented(order, doc)
-    trees = [t.edges for t in doc.trees]
+    trees = [sorted(t.edges) for t in doc.trees]
     if doc.kind == "packing":
         return verify_family(order, trees, order.a, order.b, target_tree_count(order.a, order.b))
-    return verify_witness_trees(order, doc.k, doc.i, trees)
+    classes = [t.tree_class for t in doc.trees]
+    return verify_witness_trees(order, doc.k, doc.i, trees, classes=classes)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--input", required=True, help="path to a certificate file")
     verify.set_defaults(func=_cmd_verify)
 
-    oracle = commands.add_parser("oracle", help="brute-force small instances (guards apply)")
+    oracle = commands.add_parser(
+        "oracle",
+        help="exact values independent of the constructions: edge-disjoint spanning "
+        "trees by matroid partition (ab <= 400), kappa_k by exhaustive search (a+b <= 8)",
+    )
     _add_sizes(oracle)
     oracle.add_argument("--k", type=int, default=None, help="omit to count spanning trees")
     oracle.set_defaults(func=_cmd_oracle)

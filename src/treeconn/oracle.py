@@ -1,11 +1,13 @@
-"""Brute-force ground truth for small instances.
+"""Ground truth for small instances, independent of the constructions.
 
-Everything here is independent of the constructive modules: trees are
-enumerated exhaustively and packings maximized by depth-first search, so
-the results can be used to validate the closed forms and constructions.
+Nothing here uses the residue ordering, the degree sequences or the
+witness shapes, so the results can be used to validate the closed forms
+and constructions.
 
-Candidate trees are restricted to those whose every leaf is a terminal.
-This loses nothing: pruning a non-terminal leaf from any tree keeps the
+``oracle_max_tree_set`` and ``oracle_kappa_k`` are exhaustive: trees are
+enumerated and packings maximized by depth-first search.  Candidate
+trees are restricted to those whose every leaf is a terminal.  This
+loses nothing: pruning a non-terminal leaf from any tree keeps the
 terminals connected and only shrinks its edge and vertex footprint, so
 some maximum packing consists of leaf-pruned trees.
 
@@ -15,6 +17,12 @@ recurses, so a tree with a spare leaf is never built.  The search checks
 a child's free-edge and tightest-terminal bounds from its used edges
 before it filters the child's compatible candidates, and skips a child
 that cannot beat the best packing found so far.
+
+``oracle_spanning_packing`` enumerates nothing.  Edge-disjoint spanning
+trees are bases of the graphic matroid, so it partitions the edges into
+t forests of the largest total size by Edmonds' matroid partition
+(Edmonds 1965; Roskind & Tarjan, Math. Oper. Res. 1985), in polynomial
+time: t trees exist exactly when the forests reach t(n-1) edges.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Iterable, Sequence
 from .core import InstanceTooLargeError, InvalidArgumentError
 
 MAX_TREE_SET_VERTICES = 10
-MAX_PACKING_EDGE_COUNT = 20
+MAX_PACKING_EDGE_COUNT = 400
 MAX_KAPPA_VERTEX_COUNT = 8
 
 
@@ -325,11 +333,6 @@ def oracle_max_tree_set(graph: SmallGraph, terminals: Iterable[int]) -> TreeSetR
         raise InvalidArgumentError("terminals outside vertex range")
     if not graph.is_connected():
         raise InvalidArgumentError("graph must be connected")
-    return _max_tree_set(graph, terminals)
-
-
-def _max_tree_set(graph: SmallGraph, terminals: frozenset[int]) -> TreeSetResult:
-    """``oracle_max_tree_set`` without its guards: the caller checks them."""
     candidates = _terminal_tree_candidates(graph, terminals)
     terminal_masks = [
         sum(1 << idx for idx, (u, v) in enumerate(graph.edges) if s in (u, v))
@@ -338,14 +341,127 @@ def _max_tree_set(graph: SmallGraph, terminals: frozenset[int]) -> TreeSetResult
     return _max_disjoint(candidates, len(terminals), len(graph.edges), terminal_masks)
 
 
+def _forest_partition(n: int, edges: Sequence[tuple[int, int]], t: int) -> tuple[int, list[int]]:
+    """Edmonds' matroid partition of ``edges`` into t disjoint forests.
+
+    Returns the forests' total size and each edge's forest (-1 for
+    none).  The size is t(n-1) exactly when t edge-disjoint spanning
+    trees exist.  Edges are inserted in order, each by a
+    breadth-first search for the shortest augmenting path in the
+    exchange graph.  An edge f that would close a cycle in forest i
+    labels every unlabelled edge on that cycle's path with f: f may
+    replace it in forest i, and it must then move elsewhere.  The search
+    ends at an edge that a forest other than its own takes without a
+    cycle, and every edge on the path then moves at once; on a shortest
+    path the moves keep every forest acyclic.  The forests' union is
+    independent in the union matroid and only grows, so an edge that
+    finds no path never fits later, and one pass over the edges is
+    exact.  The pass stops once the forests hold t(n-1) edges, or once
+    the edges left can no longer bring them there.
+    """
+    m = len(edges)
+    owner = [-1] * m
+    adjacency = [[{} for _ in range(n)] for _ in range(t)]  # [forest][vertex][neighbour] = edge
+    views: list[tuple[list[int], ...] | None] = [None] * t
+    goal = t * (n - 1)
+    size = 0
+
+    def view(i: int) -> tuple[list[int], ...]:
+        """Forest i rooted in each component: (root, parent, parent edge,
+        depth) per vertex, rebuilt after the forest changes."""
+        rooted = views[i]
+        if rooted is None:
+            root, up, up_edge, depth = [-1] * n, [0] * n, [0] * n, [0] * n
+            near = adjacency[i]
+            for s in range(n):
+                if root[s] >= 0:
+                    continue
+                root[s] = s
+                stack = [s]
+                while stack:
+                    x = stack.pop()
+                    below = depth[x] + 1
+                    for y, g in near[x].items():
+                        if root[y] < 0:
+                            root[y], up[y], up_edge[y], depth[y] = s, x, g, below
+                            stack.append(y)
+            rooted = views[i] = (root, up, up_edge, depth)
+        return rooted
+
+    for e in range(m):
+        if size == goal or size + m - e < goal:
+            break
+        label = {e: -1}  # edge -> the edge that would take its place
+        queue = [e]
+        for f in queue:  # grows while it is read: breadth-first
+            u, v = edges[f]
+            for sink in range(t):
+                if owner[f] != sink and _label_cycle(view(sink), u, v, f, label, queue):
+                    break
+            else:
+                continue
+            g, into = f, sink
+            while g >= 0:
+                out = owner[g]
+                p, q = edges[g]
+                if out >= 0:
+                    del adjacency[out][p][q], adjacency[out][q][p]
+                    views[out] = None
+                adjacency[into][p][q] = adjacency[into][q][p] = g
+                views[into] = None
+                owner[g] = into
+                g, into = label[g], out
+            size += 1
+            break
+    return size, owner
+
+
+def _label_cycle(
+    rooted: tuple[list[int], ...], u: int, v: int, f: int, label: dict[int, int], queue: list[int]
+) -> bool:
+    """True when the rooted forest takes edge (u, v) without a cycle;
+    otherwise label with f, and queue, each unlabelled edge on the
+    forest's u-v path."""
+    root, up, up_edge, depth = rooted
+    if root[u] != root[v]:
+        return True
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        g = up_edge[u]
+        if g not in label:
+            label[g] = f
+            queue.append(g)
+        u = up[u]
+    return False
+
+
+def _spanning_packing(graph: SmallGraph) -> TreeSetResult:
+    """Maximum set of edge-disjoint spanning trees of a graph on n >= 2
+    vertices, trees in forest order.  Starts at the edge bound
+    m // (n-1) and steps down while the forests fall short of it."""
+    tree_edges = graph.n - 1
+    t = len(graph.edges) // tree_edges
+    while True:
+        size, owner = _forest_partition(graph.n, graph.edges, t)
+        if size == t * tree_edges:
+            break
+        t -= 1
+    trees = [[] for _ in range(t)]
+    for edge, forest in zip(graph.edges, owner):
+        if forest >= 0:
+            trees[forest].append(edge)
+    return TreeSetResult(count=t, trees=tuple(map(tuple, trees)))
+
+
 def oracle_spanning_packing(a: int, b: int) -> int:
-    """Exact maximum number of edge-disjoint spanning trees of K_{a,b}:
-    internally disjoint trees whose terminals are all a + b vertices."""
+    """Exact maximum number of edge-disjoint spanning trees of K_{a,b},
+    by matroid partition (see ``_forest_partition``)."""
     if a < 1 or b < 1:
         raise InvalidArgumentError(f"part sizes must be positive, got ({a}, {b})")
     if a * b > MAX_PACKING_EDGE_COUNT:
         raise InstanceTooLargeError(f"{a * b} edges exceeds guard {MAX_PACKING_EDGE_COUNT}")
-    return _max_tree_set(complete_bipartite(a, b), frozenset(range(a + b))).count
+    return _spanning_packing(complete_bipartite(a, b)).count
 
 
 def oracle_kappa_k(a: int, b: int, k: int) -> int:

@@ -241,14 +241,19 @@ def verify_witness_trees(
     i: int,
     trees: Sequence[Sequence[tuple[int, int]]],
     hubs: Sequence[Iterable[Vertex]] | None = None,
+    classes: Sequence[str | None] | None = None,
 ) -> ValidationReport:
-    """``verify_witness`` on bare edge lists, with optional declared hubs.
+    """``verify_witness`` on bare edge lists, with optional declared hubs
+    and classes.
 
     The trees must connect S_i, be internally disjoint, and number
-    kappa(S_i).  Kinds: ``bad-tree`` (not a tree / out of range),
-    ``wrong-terminals`` (a tree misses a terminal or a declared hub, or
-    the profile itself is invalid), ``vertex-overlap``, ``edge-overlap``
-    and ``not-maximum``.
+    kappa(S_i).  A declared class "A<j>" (``None`` declares nothing) must
+    count the tree's non-terminal vertices: a tree over S_i with E edges
+    has E + 1 - k of them.  Kinds: ``bad-tree`` (not a tree / out of
+    range), ``wrong-terminals`` (a tree misses a terminal or a declared
+    hub, or the profile itself is invalid), then ``class-mismatch``, which
+    is checked once every tree is sound, then ``vertex-overlap``,
+    ``edge-overlap`` and ``not-maximum``.
     """
     try:
         target = kappa_terminal(order, k, i).kappa
@@ -259,16 +264,23 @@ def verify_witness_trees(
     if kind in ("out-of-range", "cycle", "disconnected", "missing-terminal"):
         coarse = "wrong-terminals" if kind == "missing-terminal" else "bad-tree"
         return ValidationReport((Violation(coarse, str(report.violations[0])),))
+    for index, (edges, declared) in enumerate(zip(trees, classes or ())):
+        spares = len(edges) + 1 - k
+        if declared is not None and declared != f"A{spares}":
+            detail = f"tree {index} is declared {declared} but has {spares} vertices outside S"
+            return ValidationReport((Violation("class-mismatch", detail),))
     return report
 
 
 def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> ValidationReport:
-    """Check a witness: valid trees over S_i, no shared edges, no shared
-    hubs, and as many trees as kappa(S_i); see ``verify_witness_trees``."""
+    """Check a witness: valid trees over S_i, classes that count their
+    hubs, no shared edges, no shared hubs, and as many trees as
+    kappa(S_i); see ``verify_witness_trees``."""
     return verify_witness_trees(
         order,
         witness.terminal.k,
         witness.terminal.i,
         [ct.tree.edges for ct in witness.trees],
         [ct.extras for ct in witness.trees],
+        [ct.klass.value for ct in witness.trees],
     )

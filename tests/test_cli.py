@@ -182,6 +182,40 @@ class TestVerifyCommand:
         assert code == 2
         assert "vertex-overlap" in err
 
+    @pytest.mark.parametrize("a, b", [(4, 6), (6, 4)])
+    def test_relabelled_class_is_a_mismatch(self, capsys, tmp_path, a, b):
+        _, out, _ = _run(capsys, "witness", "--a", str(a), "--b", str(b), "--k", "4")
+        doc = json.loads(out)
+        assert doc["trees"][0]["class"] == "A1"  # a star: one hub outside S
+        doc["trees"][0]["class"] = "A2"
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "class-mismatch: tree 0 is declared A2 but has 1 vertices outside S\n"
+
+    def test_class_mismatch_wins_over_count(self, capsys, tmp_path):
+        _, out, _ = _run(capsys, "witness", "--a", "4", "--b", "6", "--k", "4")
+        doc = json.loads(out)
+        doc["trees"] = doc["trees"][:2]
+        doc["trees"][1]["class"] = "A0"
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert err.startswith("class-mismatch: tree 1 ")
+
+    @pytest.mark.parametrize("a, b", [(4, 6), (6, 4)])
+    def test_missing_classes_are_allowed(self, capsys, tmp_path, a, b):
+        _, out, _ = _run(capsys, "witness", "--a", str(a), "--b", str(b), "--k", "5")
+        doc = json.loads(out)
+        for tree in doc["trees"]:
+            del tree["class"]
+        path = tmp_path / "classless.json"
+        path.write_text(json.dumps(doc))
+        assert _run(capsys, "verify", "--input", str(path))[:2] == (0, "ok\n")
+
     def test_empty_packing_is_not_maximum(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
@@ -271,7 +305,7 @@ class TestMirror:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, "verify", "--input", str(path))
-        return code, err.split(":")[0]
+        return code, err
 
     def _check_certificate(self, capsys, tmp_path, straight: list, swapped: list):
         code, out, _ = _run(capsys, *straight)
@@ -287,14 +321,35 @@ class TestMirror:
             x, y = doc["trees"][0]["edges"][0]
             doc["trees"][1]["edges"].append([x, y])
             mirror["trees"][1]["edges"].append([y, x])
-            straight_kind = self._verify(capsys, tmp_path, doc)
-            assert straight_kind[0] == 2
-            assert self._verify(capsys, tmp_path, mirror) == straight_kind
+            straight_line = self._verify(capsys, tmp_path, doc)
+            assert straight_line[0] == 2
+            assert self._verify(capsys, tmp_path, mirror) == straight_line
 
     @pytest.mark.parametrize("a, b", MIRROR_SIZES)
     def test_pack(self, capsys, tmp_path, a, b):
         self._check_certificate(capsys, tmp_path, ["pack", "--a", str(a), "--b", str(b)],
                                 ["pack", "--a", str(b), "--b", str(a)])
+
+    @pytest.mark.parametrize("a, b", MIRROR_SIZES)
+    def test_extra_edge_gets_one_violation_line(self, capsys, a, b):
+        """Each edge a packing tree lacks, added to it, is reported by the
+        same line whichever way the host is named."""
+        _, out, _ = _run(capsys, "pack", "--a", str(a), "--b", str(b))
+        doc = json.loads(out)
+        mirror = _mirrored(doc)
+
+        def line(certificate: dict, tree: int, edge: list) -> str:
+            trees = [dict(t) for t in certificate["trees"]]
+            trees[tree]["edges"] = trees[tree]["edges"] + [edge]
+            extended = json.dumps(dict(certificate, trees=trees))
+            return str(verify_document(parse_document(extended)).violations[0])
+
+        for index, tree in enumerate(doc["trees"]):
+            for edge in ([x, y] for x in range(1, a + 1) for y in range(1, b + 1)):
+                if edge not in tree["edges"]:
+                    straight = line(doc, index, edge)
+                    assert straight.startswith("cycle: ")
+                    assert line(mirror, index, edge[::-1]) == straight
 
     @pytest.mark.parametrize("a, b", MIRROR_SIZES)
     def test_witness_and_breakdown(self, capsys, tmp_path, a, b):
@@ -322,7 +377,7 @@ class TestOracleCommand:
         assert code == 0 and out == "2\n"
 
     def test_guard_exits_one(self, capsys):
-        code, _, err = _run(capsys, "oracle", "--a", "6", "--b", "6")
+        code, _, err = _run(capsys, "oracle", "--a", "21", "--b", "20")
         assert code == 1
         assert "guard" in err
 

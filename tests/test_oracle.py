@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeconn import (
+    BipartiteOrder,
     InstanceTooLargeError,
     InvalidArgumentError,
     SmallGraph,
@@ -16,12 +17,15 @@ from treeconn import (
     oracle_kappa_k,
     oracle_max_tree_set,
     oracle_spanning_packing,
+    target_tree_count,
 )
+from treeconn.core import verify_family
 from treeconn.oracle import (
     TreeSetResult,
     _Candidate,
     _candidates,
     _max_disjoint,
+    _spanning_packing,
     _spanning_trees,
     _terminal_tree_candidates,
 )
@@ -105,10 +109,56 @@ class TestSpanningPacking:
 
     def test_guard(self):
         with pytest.raises(InstanceTooLargeError):
-            oracle_spanning_packing(3, 7)
+            oracle_spanning_packing(20, 21)
 
     def test_star_has_one_tree(self):
         assert oracle_spanning_packing(1, 20) == 1
+
+
+def _connected_graph(data, max_n: int) -> SmallGraph:
+    """A hypothesis-drawn connected graph: a random spanning tree plus any edges."""
+    n = data.draw(st.integers(min_value=2, max_value=max_n), label="n")
+    edges = {
+        (data.draw(st.integers(min_value=0, max_value=v - 1), label=f"parent{v}"), v)
+        for v in range(1, n)
+    }
+    pairs = list(combinations(range(n), 2))
+    edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return SmallGraph(n, tuple(edges))
+
+
+class TestMatroidPartition:
+    """The packing oracle's matroid partition against the exhaustive search,
+    and its trees against the certificate verifier."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_connected_graphs(self, data):
+        graph = _connected_graph(data, 6)
+        everything = frozenset(range(graph.n))
+        result = _spanning_packing(graph)
+        assert result.count == oracle_max_tree_set(graph, everything).count
+        _assert_valid_tree_set(graph, everything, result.trees)
+
+    def test_edge_bound_not_attained(self):
+        # K_5 plus a pendant vertex: 11 edges on 6 vertices bound the count
+        # by 2, but the pendant edge can serve only one tree.
+        graph = SmallGraph(6, complete_graph(5).edges + ((4, 5),))
+        assert len(graph.edges) // (graph.n - 1) == 2
+        result = _spanning_packing(graph)
+        assert result.count == 1
+        assert oracle_max_tree_set(graph, range(6)).count == 1
+        _assert_valid_tree_set(graph, frozenset(range(6)), result.trees)
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_trees_verify_as_packings(self, b):
+        for a in range(1, b + 1):
+            result = _spanning_packing(complete_bipartite(a, b))
+            assert result.count == target_tree_count(a, b)
+            # x_j is vertex j-1 and y_j is a+j-1: back to 1-based (x, y) pairs
+            trees = [[(x + 1, y - a + 1) for x, y in tree] for tree in result.trees]
+            report = verify_family(BipartiteOrder(a, b), trees, a, b, target_tree_count(a, b))
+            assert report.ok, (a, b, report)
 
 
 class TestKappaOracle:
@@ -320,17 +370,9 @@ class TestPrunedOracleIsExact:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_random_connected_graphs(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=7), label="n")
-        # a random spanning tree keeps the graph connected; extra edges are free
-        edges = {
-            (data.draw(st.integers(min_value=0, max_value=v - 1), label=f"parent{v}"), v)
-            for v in range(1, n)
-        }
-        pairs = list(combinations(range(n), 2))
-        edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-        graph = SmallGraph(n, tuple(edges))
+        graph = _connected_graph(data, 7)
         terminals = data.draw(
-            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, unique=True),
+            st.lists(st.integers(min_value=0, max_value=graph.n - 1), min_size=2, unique=True),
             label="terminals",
         )
         _assert_matches_reference(graph, frozenset(terminals))
