@@ -3,118 +3,37 @@
 Closed-form values, constructive certificates (spanning-tree packings
 and internally disjoint Steiner tree sets), structural verifiers, and a
 brute-force oracle for small instances.
+
+The top level holds what the README's Library section shows, plus the
+error classes; everything else is imported from its module
+(``treeconn.core``, ``treeconn.oracle``, ``treeconn.packing``, ...).
 """
 
-from .connectivity import (
-    KappaBreakdown,
-    kappa_bipartite,
-    kappa_complete,
-    kappa_terminal,
-    min_terminal_index,
-)
+from .connectivity import kappa_bipartite
 from .core import (
-    BipartiteOrder,
     ConstructionBugError,
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidTerminalSetError,
     NotConstructibleError,
-    Side,
-    TerminalSet,
-    Tree,
     TreeconnError,
-    ValidationReport,
-    Vertex,
-    Violation,
     normalize,
-    terminal_range,
-    terminal_set,
-    validate_tree,
-    xv,
-    yv,
 )
-from .oracle import (
-    SmallGraph,
-    TreeSetResult,
-    bipartite_terminal_vertices,
-    complete_bipartite,
-    complete_graph,
-    oracle_kappa_k,
-    oracle_max_tree_set,
-    oracle_spanning_packing,
-)
-from .packing import (
-    DegreeSequence,
-    SpanningTreePacking,
-    build_packing,
-    build_tree,
-    degree_sequence,
-    residue_ordering,
-    target_tree_count,
-    verify_shift_capacity,
-    window_sum,
-)
-from .witness import (
-    ClassifiedTree,
-    ResidualLedger,
-    SteinerWitness,
-    TreeClass,
-    build_a2_trees,
-    build_internal_trees,
-    build_witness,
-    verify_witness,
-)
+from .packing import build_packing
+from .witness import build_witness, verify_witness
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteOrder",
-    "ClassifiedTree",
     "ConstructionBugError",
-    "DegreeSequence",
     "InstanceTooLargeError",
     "InvalidArgumentError",
     "InvalidTerminalSetError",
-    "KappaBreakdown",
     "NotConstructibleError",
-    "ResidualLedger",
-    "Side",
-    "SmallGraph",
-    "SpanningTreePacking",
-    "SteinerWitness",
-    "TerminalSet",
-    "Tree",
-    "TreeClass",
-    "TreeSetResult",
     "TreeconnError",
-    "ValidationReport",
-    "Vertex",
-    "Violation",
-    "bipartite_terminal_vertices",
-    "build_a2_trees",
-    "build_internal_trees",
     "build_packing",
-    "build_tree",
     "build_witness",
-    "complete_bipartite",
-    "complete_graph",
-    "degree_sequence",
     "kappa_bipartite",
-    "kappa_complete",
-    "kappa_terminal",
-    "min_terminal_index",
     "normalize",
-    "oracle_kappa_k",
-    "oracle_max_tree_set",
-    "oracle_spanning_packing",
-    "residue_ordering",
-    "target_tree_count",
-    "terminal_range",
-    "terminal_set",
-    "validate_tree",
-    "verify_shift_capacity",
     "verify_witness",
-    "window_sum",
-    "xv",
-    "yv",
 ]

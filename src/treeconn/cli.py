@@ -218,9 +218,10 @@ def verify_document(doc: CertificateDocument) -> ValidationReport:
     assert doc.kind == "packing" or (doc.k is not None and doc.i is not None)
     doc = _oriented(order, doc)
     trees = [sorted(t.edges) for t in doc.trees]
-    if doc.kind == "packing":
-        return verify_family(order, trees, order.a, order.b, target_tree_count(order.a, order.b))
     classes = [t.tree_class for t in doc.trees]
+    if doc.kind == "packing":
+        target = target_tree_count(order.a, order.b)
+        return verify_family(order, trees, order.a, order.b, target, classes=classes)
     return verify_witness_trees(order, doc.k, doc.i, trees, classes=classes)
 
 

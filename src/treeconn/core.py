@@ -84,12 +84,6 @@ class BipartiteOrder:
         if self.a > self.b:
             raise InvalidArgumentError(f"expected a <= b, got ({self.a}, {self.b}); use normalize()")
 
-    def vertices(self) -> frozenset[Vertex]:
-        """All a + b vertices."""
-        return frozenset(
-            [xv(i) for i in range(1, self.a + 1)] + [yv(j) for j in range(1, self.b + 1)]
-        )
-
 
 def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
     """Order the two part sizes so a <= b, remembering whether they swapped.
@@ -108,25 +102,13 @@ def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
 class Tree:
     """An edge list over (x-index, y-index) pairs.
 
-    The type itself stores whatever it is given; ``validate_tree`` is the
-    judge of whether the edges actually form a tree, so that invalid data
-    (e.g. parsed from a corrupted certificate file) can be diagnosed
-    rather than rejected at construction time.
+    The type itself stores whatever it is given; ``verify_family`` judges
+    whether the edges are in range, acyclic, connected and cover what they
+    must, so that invalid data (e.g. parsed from a corrupted certificate
+    file) can be diagnosed rather than rejected at construction time.
     """
 
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def vertices(self) -> frozenset[Vertex]:
-        """All endpoints of the edge list."""
-        verts: set[Vertex] = set()
-        for x, y in self.edges:
-            verts.add(xv(x))
-            verts.add(yv(y))
-        return frozenset(verts)
 
 
 @dataclass(frozen=True)
@@ -140,19 +122,6 @@ class TerminalSet:
 
     i: int
     k: int
-
-    @property
-    def x_count(self) -> int:
-        return self.i
-
-    @property
-    def y_count(self) -> int:
-        return self.k - self.i
-
-    def vertices(self) -> frozenset[Vertex]:
-        return frozenset(
-            [xv(s) for s in range(1, self.i + 1)] + [yv(s) for s in range(1, self.k - self.i + 1)]
-        )
 
 
 def terminal_set(order: BipartiteOrder, k: int, i: int) -> TerminalSet:
@@ -277,24 +246,6 @@ def _uncovered(
     return Violation("missing-terminal", f"{min(missing)} not covered")
 
 
-def validate_tree(
-    order: BipartiteOrder,
-    required_vertices: Iterable[Vertex],
-    tree: Tree,
-) -> ValidationReport:
-    """Check that an edge list is a tree covering the required vertices.
-
-    Violations are data, not exceptions; the first one found is reported
-    with kind ``out-of-range``, ``cycle``, ``disconnected`` or
-    ``missing-terminal`` (checked in that order).  Duplicate edges count
-    as a cycle.
-    """
-    defect, parent = _grow_tree(order, tree.edges)
-    if defect is None:
-        defect = _uncovered(order, parent, 0, 0, required_vertices)
-    return ValidationReport(() if defect is None else (defect,))
-
-
 def verify_family(
     order: BipartiteOrder,
     trees: Sequence[Sequence[tuple[int, int]]],
@@ -302,20 +253,27 @@ def verify_family(
     y_terminals: int,
     target: int,
     hubs: Sequence[Iterable[Vertex]] | None = None,
+    classes: Sequence[str | None] | None = None,
 ) -> ValidationReport:
     """Check, in one pass, a maximum family of internally disjoint trees.
 
     The trees must connect S = {x_1..x_{x_terminals}} + {y_1..y_{y_terminals}}
     (all a + b vertices for a spanning-tree packing), share no edge, and
-    meet only in S.  Each tree gets the checks of ``validate_tree``, with
-    S and its entry of ``hubs`` (declared hub vertices) required.  Across
-    trees every edge, and every vertex outside S, has one owner: the first
-    tree that used it.  The lexicographically smallest pair of trees that
-    share anything is reported, as ``vertex-overlap`` with the smallest
-    shared vertex outside S, or else ``edge-overlap`` with the smallest
-    shared edge.  A sound family of fewer than ``target`` trees is
-    ``not-maximum``.  Per-tree defects win over overlaps, and overlaps
-    over the count.  Work is linear in the number of edges given.
+    meet only in S.  Violations are data, not exceptions; only the first
+    is reported.  Each tree in turn must lie in the host
+    (``out-of-range``), be acyclic, a repeated edge counting as a cycle
+    (``cycle``), be connected (``disconnected``) and contain S and its
+    entry of ``hubs``, the declared hub vertices (``missing-terminal``).
+    Once every tree is sound, each declared class "A<j>" in ``classes``
+    (``None`` declares nothing) must count the tree's vertices outside S,
+    E + 1 - |S| for a tree of E edges (``class-mismatch``).  Across trees
+    every edge, and every vertex outside S, has one owner: the first tree
+    that used it.  The lexicographically smallest pair of trees that share
+    anything is reported, as ``vertex-overlap`` with the smallest shared
+    vertex outside S, or else ``edge-overlap`` with the smallest shared
+    edge.  A sound family of fewer than ``target`` trees is
+    ``not-maximum``.  Checks win in the order given here.  Work is linear
+    in the number of edges given.
     """
     a = order.a
     terminal_count = x_terminals + y_terminals
@@ -342,6 +300,11 @@ def verify_family(
                 if owner != index and (clash is None or (owner, index, 0, v) < clash):
                     clash = (owner, index, 0, v)
 
+    for index, (edges, declared) in enumerate(zip(trees, classes or ())):
+        spares = len(edges) + 1 - terminal_count
+        if declared is not None and declared != f"A{spares}":
+            detail = f"tree {index} is declared {declared} but has {spares} vertices outside S"
+            return _report("class-mismatch", detail)
     if clash is not None:
         first, second, rank, culprit = clash
         if rank == 0:

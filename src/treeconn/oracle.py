@@ -90,7 +90,7 @@ def bipartite_terminal_vertices(a: int, b: int, k: int, i: int) -> frozenset[int
 
 
 def _spanning_trees(
-    n: int, edges: list[tuple[int, int]], spares: Iterable[int] = ()
+    n: int, edges: list[tuple[int, int]], spares: Iterable[int]
 ) -> list[tuple[int, ...]]:
     """Spanning trees of a graph, as increasing tuples of edge indices.
 

@@ -123,7 +123,7 @@ def build_a2_trees(
     joins the two stars (without it the two stars would be a forest).
     No internal edges are consumed.
     """
-    i, m = terminal.x_count, terminal.y_count
+    i, m = terminal.i, terminal.k - terminal.i
     supply = min(order.a - i, order.b - m)
     if not 0 <= count <= supply:
         raise InvalidArgumentError(f"requested {count} two-hub trees, only {supply} spare pairs")
@@ -163,7 +163,7 @@ def build_internal_trees(
     trees) and attaches each same-side terminal through the
     lowest-indexed internal edge still in the ledger.
     """
-    i, m, k = terminal.x_count, terminal.y_count, terminal.k
+    i, m, k = terminal.i, terminal.k - terminal.i, terminal.k
     if p < 0 or q < 0:
         raise InvalidArgumentError(f"tree counts must be nonnegative, got p={p}, q={q}")
     cost = i if side is Side.X else m
@@ -244,31 +244,23 @@ def verify_witness_trees(
     classes: Sequence[str | None] | None = None,
 ) -> ValidationReport:
     """``verify_witness`` on bare edge lists, with optional declared hubs
-    and classes.
+    and classes: ``verify_family`` over S_i with target kappa(S_i).
 
-    The trees must connect S_i, be internally disjoint, and number
-    kappa(S_i).  A declared class "A<j>" (``None`` declares nothing) must
-    count the tree's non-terminal vertices: a tree over S_i with E edges
-    has E + 1 - k of them.  Kinds: ``bad-tree`` (not a tree / out of
-    range), ``wrong-terminals`` (a tree misses a terminal or a declared
-    hub, or the profile itself is invalid), then ``class-mismatch``, which
-    is checked once every tree is sound, then ``vertex-overlap``,
-    ``edge-overlap`` and ``not-maximum``.
+    Its per-tree kinds are renamed: ``bad-tree`` (not a tree / out of
+    range) and ``wrong-terminals`` (a tree misses a terminal or a declared
+    hub).  An invalid profile is also ``wrong-terminals``.  The other
+    kinds, ``class-mismatch``, ``vertex-overlap``, ``edge-overlap`` and
+    ``not-maximum``, pass through.
     """
     try:
         target = kappa_terminal(order, k, i).kappa
     except InvalidTerminalSetError as exc:
         return ValidationReport((Violation("wrong-terminals", str(exc)),))
-    report = verify_family(order, trees, i, k - i, target, hubs)
+    report = verify_family(order, trees, i, k - i, target, hubs, classes)
     kind = report.first_kind
     if kind in ("out-of-range", "cycle", "disconnected", "missing-terminal"):
         coarse = "wrong-terminals" if kind == "missing-terminal" else "bad-tree"
         return ValidationReport((Violation(coarse, str(report.violations[0])),))
-    for index, (edges, declared) in enumerate(zip(trees, classes or ())):
-        spares = len(edges) + 1 - k
-        if declared is not None and declared != f"A{spares}":
-            detail = f"tree {index} is declared {declared} but has {spares} vertices outside S"
-            return ValidationReport((Violation("class-mismatch", detail),))
     return report
 
 

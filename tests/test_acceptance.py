@@ -8,26 +8,23 @@ tests/test_acceptance.py`` to see the per-criterion lines.
 import json
 import time
 
-from treeconn import (
-    build_packing,
-    build_witness,
-    complete_bipartite,
-    degree_sequence,
+from treeconn import build_packing, build_witness, kappa_bipartite, normalize, verify_witness
+from treeconn.cli import run
+from treeconn.connectivity import kappa_terminal
+from treeconn.core import terminal_range, verify_family
+from treeconn.oracle import (
     bipartite_terminal_vertices,
-    kappa_bipartite,
-    kappa_terminal,
-    normalize,
+    complete_bipartite,
     oracle_kappa_k,
     oracle_max_tree_set,
     oracle_spanning_packing,
+)
+from treeconn.packing import (
+    degree_sequence,
     residue_ordering,
     target_tree_count,
-    terminal_range,
-    validate_tree,
     verify_shift_capacity,
-    verify_witness,
 )
-from treeconn.cli import run
 
 
 def _report(number: int, title: str, failures: list, elapsed: float, budget: float | None) -> None:
@@ -48,14 +45,13 @@ def test_criterion_1_packing_construction_soundness():
             packing = build_packing(order)
             if len(packing.trees) != (a * b) // (a + b - 1):
                 failures.append((a, b, "count", len(packing.trees)))
-            everything = order.vertices()
             union = set()
             total_edges = 0
             for tree in packing.trees:
-                report = validate_tree(order, everything, tree)
+                report = verify_family(order, [tree.edges], order.a, order.b, 0)
                 if not report.ok:
                     failures.append((a, b, report.first_kind))
-                union |= tree.edge_set
+                union |= set(tree.edges)
                 total_edges += len(tree.edges)
             if len(union) != total_edges:
                 failures.append((a, b, "shared edges"))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and certificate documents."""
 
+import ast
 import json
 import os
 import subprocess
@@ -19,7 +20,8 @@ from treeconn.cli import (
     verify_document,
     witness_document,
 )
-from treeconn import InvalidArgumentError, build_packing, build_witness, normalize, terminal_range
+from treeconn import InvalidArgumentError, build_packing, build_witness, normalize
+from treeconn.core import terminal_range
 
 
 def _run(capsys, *args):
@@ -213,6 +215,31 @@ class TestVerifyCommand:
         for tree in doc["trees"]:
             del tree["class"]
         path = tmp_path / "classless.json"
+        path.write_text(json.dumps(doc))
+        assert _run(capsys, "verify", "--input", str(path))[:2] == (0, "ok\n")
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("declared", ["A1", "A2"])
+    def test_packing_tree_class_is_checked(self, capsys, tmp_path, a, b, declared):
+        _, out, _ = _run(capsys, "pack", "--a", str(a), "--b", str(b))
+        doc = json.loads(out)
+        doc["trees"][0]["class"] = declared  # a spanning tree has no vertex outside S
+        path = tmp_path / "classed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"class-mismatch: tree 0 is declared {declared} but has 0 vertices outside S\n"
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 3)])
+    def test_packing_tree_may_declare_a0(self, capsys, tmp_path, a, b):
+        _, out, _ = _run(capsys, "pack", "--a", str(a), "--b", str(b))
+        doc = json.loads(out)
+        assert all("class" not in tree for tree in doc["trees"])
+        path = tmp_path / "classless.json"
+        path.write_text(json.dumps(doc))
+        assert _run(capsys, "verify", "--input", str(path))[:2] == (0, "ok\n")
+        doc["trees"][0]["class"] = "A0"
         path.write_text(json.dumps(doc))
         assert _run(capsys, "verify", "--input", str(path))[:2] == (0, "ok\n")
 
@@ -434,6 +461,29 @@ class TestDocumentLayer:
         order = normalize(3, 4)
         doc = witness_document(order, build_witness(order, 5, 1))
         assert emit_dot(doc) == emit_dot(doc)
+
+
+def test_top_level_exports_are_the_readme_library():
+    """``treeconn.__all__``, less the error classes, is exactly what the
+    README's Library code block imports from ``treeconn``."""
+    import treeconn
+
+    readme = (Path(treeconn.__file__).resolve().parents[2] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    block = library.split("```python", 1)[1].split("```", 1)[0]
+    documented = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "treeconn"
+        for alias in node.names
+    }
+    errors = {name for name in treeconn.__all__ if name.endswith("Error")}
+    assert errors == {
+        "TreeconnError", "InvalidArgumentError", "InvalidTerminalSetError",
+        "NotConstructibleError", "ConstructionBugError", "InstanceTooLargeError",
+    }
+    assert set(treeconn.__all__) - errors == documented
+    assert all(hasattr(treeconn, name) for name in treeconn.__all__)
 
 
 @pytest.mark.parametrize("module", ["treeconn", "treeconn.cli"])

@@ -2,19 +2,10 @@
 
 import pytest
 
-from treeconn import (
-    InvalidArgumentError,
-    InvalidTerminalSetError,
-    Side,
-    complete_graph,
-    kappa_bipartite,
-    kappa_complete,
-    kappa_terminal,
-    min_terminal_index,
-    normalize,
-    oracle_max_tree_set,
-    terminal_range,
-)
+from treeconn import InvalidArgumentError, InvalidTerminalSetError, kappa_bipartite, normalize
+from treeconn.connectivity import kappa_complete, kappa_terminal, min_terminal_index
+from treeconn.core import Side, terminal_range
+from treeconn.oracle import complete_graph, oracle_max_tree_set
 
 
 class TestKappaComplete:

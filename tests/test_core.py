@@ -1,21 +1,11 @@
-"""Tests for the bipartite base types and the tree validator."""
+"""Tests for the bipartite base types and the per-tree checks of ``verify_family``."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeconn import (
-    BipartiteOrder,
-    InvalidArgumentError,
-    InvalidTerminalSetError,
-    Side,
-    Tree,
-    normalize,
-    terminal_set,
-    validate_tree,
-    xv,
-    yv,
-)
+from treeconn import InvalidArgumentError, InvalidTerminalSetError, normalize
+from treeconn.core import BipartiteOrder, Side, Tree, terminal_set, verify_family, xv, yv
 
 
 class TestNormalize:
@@ -67,61 +57,72 @@ def spanning_tree_instances(draw):
     return order, Tree(tuple(edges))
 
 
+def _check_tree(order, tree, x_terminals=0, y_terminals=0):
+    """``verify_family`` on one tree, with x_1..x_{x_terminals} and
+    y_1..y_{y_terminals} required and no count to reach."""
+    return verify_family(order, [tree.edges], x_terminals, y_terminals, 0)
+
+
 class TestValidateTree:
     def test_path_is_valid(self):
         order = BipartiteOrder(2, 2)
         tree = Tree(((1, 1), (1, 2), (2, 2)))
-        report = validate_tree(order, [xv(1), xv(2), yv(1), yv(2)], tree)
+        report = _check_tree(order, tree, 2, 2)
         assert report.ok
 
     def test_four_cycle(self):
         order = BipartiteOrder(2, 2)
         tree = Tree(((1, 1), (2, 1), (1, 2), (2, 2)))
-        assert validate_tree(order, [], tree).first_kind == "cycle"
+        assert _check_tree(order, tree).first_kind == "cycle"
 
     def test_missing_terminal(self):
         order = BipartiteOrder(2, 2)
         tree = Tree(((1, 1),))
-        report = validate_tree(order, [xv(1), xv(2), yv(1)], tree)
+        report = _check_tree(order, tree, 2, 1)
         assert report.first_kind == "missing-terminal"
 
     def test_out_of_range(self):
         order = BipartiteOrder(2, 2)
-        assert validate_tree(order, [], Tree(((1, 3),))).first_kind == "out-of-range"
-        assert validate_tree(order, [], Tree(((3, 1),))).first_kind == "out-of-range"
+        assert _check_tree(order, Tree(((1, 3),))).first_kind == "out-of-range"
+        assert _check_tree(order, Tree(((3, 1),))).first_kind == "out-of-range"
 
     def test_duplicate_edge_counts_as_cycle(self):
         order = BipartiteOrder(2, 2)
-        assert validate_tree(order, [], Tree(((1, 1), (1, 1)))).first_kind == "cycle"
+        assert _check_tree(order, Tree(((1, 1), (1, 1)))).first_kind == "cycle"
 
     def test_disconnected(self):
         order = BipartiteOrder(2, 2)
-        assert validate_tree(order, [], Tree(((1, 1), (2, 2)))).first_kind == "disconnected"
+        assert _check_tree(order, Tree(((1, 1), (2, 2)))).first_kind == "disconnected"
 
     def test_empty_tree_misses_terminals(self):
         order = BipartiteOrder(2, 2)
-        assert validate_tree(order, [xv(1)], Tree(())).first_kind == "missing-terminal"
+        assert _check_tree(order, Tree(()), 1, 0).first_kind == "missing-terminal"
 
     @given(spanning_tree_instances())
     def test_random_spanning_tree_validates(self, instance):
         order, tree = instance
-        assert validate_tree(order, order.vertices(), tree).ok
+        assert _check_tree(order, tree, order.a, order.b).ok
 
     @given(spanning_tree_instances())
     def test_random_tree_with_duplicated_edge_fails(self, instance):
         order, tree = instance
         doubled = Tree(tree.edges + (tree.edges[0],))
-        assert validate_tree(order, order.vertices(), doubled).first_kind == "cycle"
+        assert _check_tree(order, doubled, order.a, order.b).first_kind == "cycle"
+
+
+def _terminals(ts):
+    """The vertices of S_i: x_1..x_i and y_1..y_{k-i}."""
+    return {xv(s) for s in range(1, ts.i + 1)} | {yv(t) for t in range(1, ts.k - ts.i + 1)}
 
 
 class TestTerminalSet:
     def test_mixed_profile(self):
         ts = terminal_set(BipartiteOrder(3, 4), 5, 2)
-        assert ts.vertices() == frozenset({xv(1), xv(2), yv(1), yv(2), yv(3)})
+        assert _terminals(ts) == {xv(1), xv(2), yv(1), yv(2), yv(3)}
 
     def test_all_y_profile(self):
         ts = terminal_set(BipartiteOrder(2, 5), 3, 0)
-        assert ts.vertices() == frozenset({yv(1), yv(2), yv(3)})
+        assert _terminals(ts) == {yv(1), yv(2), yv(3)}
 
     def test_rejects_i_beyond_part(self):
         with pytest.raises(InvalidTerminalSetError):

@@ -6,22 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconn import (
-    BipartiteOrder,
-    InstanceTooLargeError,
-    InvalidArgumentError,
+from treeconn import InstanceTooLargeError, InvalidArgumentError
+from treeconn.core import BipartiteOrder, verify_family
+from treeconn.packing import target_tree_count
+from treeconn.oracle import (
     SmallGraph,
+    TreeSetResult,
     bipartite_terminal_vertices,
     complete_bipartite,
     complete_graph,
     oracle_kappa_k,
     oracle_max_tree_set,
     oracle_spanning_packing,
-    target_tree_count,
-)
-from treeconn.core import verify_family
-from treeconn.oracle import (
-    TreeSetResult,
     _Candidate,
     _candidates,
     _max_disjoint,
@@ -382,7 +378,7 @@ class TestPrunedOracleIsExact:
         graph = complete_bipartite(a, b)
         edge_list = list(graph.edges)
         trees = _reference_spanning_trees(graph.n, edge_list)
-        assert _spanning_trees(graph.n, edge_list) == trees
+        assert _spanning_trees(graph.n, edge_list, ()) == trees
         expected = [
             _Candidate(
                 edge_mask=sum(1 << idx for idx in tree),

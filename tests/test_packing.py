@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeconn import (
-    NotConstructibleError,
-    build_packing,
+from treeconn import NotConstructibleError, build_packing, normalize
+from treeconn.core import verify_family
+from treeconn.oracle import oracle_spanning_packing
+from treeconn.packing import (
     build_tree,
     degree_sequence,
-    normalize,
-    oracle_spanning_packing,
     residue_ordering,
     target_tree_count,
-    validate_tree,
     verify_shift_capacity,
     window_sum,
 )
@@ -109,6 +107,11 @@ class TestShiftCapacity:
         assert verify_shift_capacity(degree_sequence(5, 7, 3), 7, 3)
 
 
+def _vertices(tree) -> set:
+    """The endpoints of a tree's edges, tagged by side."""
+    return {("x", x) for x, _ in tree.edges} | {("y", y) for _, y in tree.edges}
+
+
 class TestBuildTree:
     def test_first_tree_runs_left_to_right(self):
         tree = build_tree(degree_sequence(3, 4, 1), 4, 1)
@@ -134,8 +137,8 @@ class TestBuildTree:
         first = build_tree(dseq, 3, 1)
         second = build_tree(dseq, 3, 2)
         assert len(first.edges) == len(second.edges) == 6
-        assert not first.edge_set & second.edge_set
-        assert len(first.vertices()) == len(second.vertices()) == 7
+        assert not set(first.edges) & set(second.edges)
+        assert len(_vertices(first)) == len(_vertices(second)) == 7
 
 
 class TestBuildPacking:
@@ -147,14 +150,14 @@ class TestBuildPacking:
         packing = build_packing(normalize(3, 4))
         assert len(packing.trees) == 2
         assert sum(len(t.edges) for t in packing.trees) == 12
-        assert not packing.trees[0].edge_set & packing.trees[1].edge_set
+        assert not set(packing.trees[0].edges) & set(packing.trees[1].edges)
 
     def test_five_by_six_uses_every_edge(self):
         packing = build_packing(normalize(5, 6))
         assert len(packing.trees) == 3
         used = set()
         for tree in packing.trees:
-            used |= tree.edge_set
+            used |= set(tree.edges)
         assert len(used) == 30
 
     def test_sound_over_small_range(self):
@@ -163,12 +166,11 @@ class TestBuildPacking:
                 order = normalize(a, b)
                 packing = build_packing(order)
                 assert len(packing.trees) == target_tree_count(a, b)
-                everything = order.vertices()
                 used = set()
                 for tree in packing.trees:
-                    assert validate_tree(order, everything, tree).ok
-                    assert not used & tree.edge_set
-                    used |= tree.edge_set
+                    assert verify_family(order, [tree.edges], order.a, order.b, 0).ok
+                    assert not used & set(tree.edges)
+                    used |= set(tree.edges)
 
     def test_matches_oracle_on_tiny_hosts(self):
         for b in range(1, 5):

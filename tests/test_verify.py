@@ -13,18 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconn import (
-    Side,
-    Vertex,
-    build_packing,
-    build_witness,
-    kappa_terminal,
-    normalize,
-    target_tree_count,
-    xv,
-    yv,
-)
+from treeconn import build_packing, build_witness, normalize
 from treeconn.cli import CertificateDocument, DocumentTree, run, verify_document
+from treeconn.connectivity import kappa_terminal
+from treeconn.core import Side, Vertex, xv, yv
+from treeconn.packing import target_tree_count
 from treeconn.witness import verify_witness_trees
 
 def _tree_vertices(edges) -> set:

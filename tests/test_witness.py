@@ -3,29 +3,29 @@
 import pytest
 
 from treeconn import (
-    ClassifiedTree,
     ConstructionBugError,
     InvalidArgumentError,
+    build_witness,
+    kappa_bipartite,
+    normalize,
+    verify_witness,
+)
+from treeconn.connectivity import kappa_terminal
+from treeconn.core import Side, Tree, terminal_range, terminal_set, xv, yv
+from treeconn.oracle import bipartite_terminal_vertices, complete_bipartite, oracle_max_tree_set
+from treeconn.witness import (
+    ClassifiedTree,
     ResidualLedger,
-    Side,
     SteinerWitness,
-    Tree,
     TreeClass,
-    bipartite_terminal_vertices,
     build_a2_trees,
     build_internal_trees,
-    build_witness,
-    complete_bipartite,
-    kappa_bipartite,
-    kappa_terminal,
-    normalize,
-    oracle_max_tree_set,
-    terminal_range,
-    terminal_set,
-    verify_witness,
-    xv,
-    yv,
 )
+
+
+def _terminals(ts) -> set:
+    """The vertices of S_i: x_1..x_i and y_1..y_{k-i}."""
+    return {xv(s) for s in range(1, ts.i + 1)} | {yv(t) for t in range(1, ts.k - ts.i + 1)}
 
 
 class TestTwoHubTrees:
@@ -91,7 +91,10 @@ class TestInternalTrees:
         order = normalize(3, 4)
         trees = build_internal_trees(order, terminal_set(order, 5, 2), p=1, q=0, side=Side.X)
         assert len(trees[0].tree.edges) == 4
-        assert trees[0].tree.vertices() == terminal_set(order, 5, 2).vertices()
+        edges = trees[0].tree.edges
+        assert {xv(x) for x, _ in edges} | {yv(y) for _, y in edges} == _terminals(
+            terminal_set(order, 5, 2)
+        )
 
     def test_empty_request(self):
         order = normalize(2, 3)
@@ -222,7 +225,7 @@ class TestWitnessSweep:
                         hubs = set()
                         hub_sides = set()
                         internal_used = 0
-                        terminals = witness.terminal.vertices()
+                        terminals = _terminals(witness.terminal)
                         m = k - i
                         for ct in witness.trees:
                             by_class[ct.klass.value] += 1
@@ -244,7 +247,10 @@ class TestWitnessSweep:
                             assert internal_used == expected_internal
                             assert internal_used <= i * m
                         # unused spare vertices end up on at most one side
-                        unused = order.vertices() - terminals - hubs
+                        everything = {xv(s) for s in range(1, a + 1)} | {
+                            yv(t) for t in range(1, b + 1)
+                        }
+                        unused = everything - terminals - hubs
                         assert len({v.side for v in unused}) <= 1
 
     def test_matches_oracle_on_tiny_hosts(self):
