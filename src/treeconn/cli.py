@@ -25,6 +25,7 @@ from .core import (
     InvalidArgumentError,
     Side,
     ValidationReport,
+    check_profile,
     normalize,
     verify_family,
 )
@@ -282,9 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _profile(order: BipartiteOrder, k: int, i_caller: int | None) -> int:
-    """The normalized i for the caller's ``--i``; by default, the first
-    profile that attains kappa_k."""
-    return min_terminal_index(order, k) if i_caller is None else _flip(order, k, i_caller)
+    """The normalized i for the caller's ``--i``, range-checked in the
+    caller's labels; by default, the first profile that attains kappa_k."""
+    if i_caller is None:
+        return min_terminal_index(order, k)
+    a, b = (order.b, order.a) if order.swapped else (order.a, order.b)
+    check_profile(a, b, k, i_caller)
+    return _flip(order, k, i_caller)
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
@@ -303,7 +308,7 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, separators=(",", ":")))
     elif args.i is not None:
-        print(kappa_terminal(order, args.k, _flip(order, args.k, args.i)).kappa)
+        print(kappa_terminal(order, args.k, _profile(order, args.k, args.i)).kappa)
     else:
         print(kappa_bipartite(order, args.k))
     return 0

@@ -124,16 +124,22 @@ class TerminalSet:
     k: int
 
 
-def terminal_set(order: BipartiteOrder, k: int, i: int) -> TerminalSet:
-    """The canonical terminal set S_i, or raise if (k, i) is out of range.
+def check_profile(a: int, b: int, k: int, i: int) -> None:
+    """Raise unless 2 <= k <= a + b and max(0, k - b) <= i <= min(a, k).
 
-    Valid profiles have 2 <= k <= a + b and max(0, k - b) <= i <= min(a, k).
+    The sizes may come in either order; the message names them as given.
     """
-    if not 2 <= k <= order.a + order.b:
-        raise InvalidTerminalSetError(f"k={k} outside [2, {order.a + order.b}] for {order.a}x{order.b}")
-    lo, hi = max(0, k - order.b), min(order.a, k)
+    if not 2 <= k <= a + b:
+        raise InvalidTerminalSetError(f"k={k} outside [2, {a + b}] for {a}x{b}")
+    lo, hi = max(0, k - b), min(a, k)
     if not lo <= i <= hi:
-        raise InvalidTerminalSetError(f"i={i} outside [{lo}, {hi}] for k={k} on {order.a}x{order.b}")
+        raise InvalidTerminalSetError(f"i={i} outside [{lo}, {hi}] for k={k} on {a}x{b}")
+
+
+def terminal_set(order: BipartiteOrder, k: int, i: int) -> TerminalSet:
+    """The canonical terminal set S_i, or raise if (k, i) is out of range
+    (see ``check_profile``)."""
+    check_profile(order.a, order.b, k, i)
     return TerminalSet(i=i, k=k)
 
 

@@ -18,6 +18,14 @@ a child's free-edge and tightest-terminal bounds from its used edges
 before it filters the child's compatible candidates, and skips a child
 that cannot beat the best packing found so far.
 
+``oracle_kappa_k`` needs each profile's count only up to the smallest
+count so far, so it builds a profile's candidates one spare-count layer
+at a time (0 spares, then 1, ...) and searches what it has built after
+each layer, stopping at that ceiling.  A packing among some candidates
+is a real packing, so a lower bound on the count; a count that reaches
+the ceiling cannot move the minimum; and the last layer makes the full
+search, so the minimum stays exact.
+
 ``oracle_spanning_packing`` enumerates nothing.  Edge-disjoint spanning
 trees are bases of the graphic matroid, so it partitions the edges into
 t forests of the largest total size by Edmonds' matroid partition
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import InstanceTooLargeError, InvalidArgumentError
 
@@ -205,6 +213,7 @@ def _max_disjoint(
     k: int,
     edge_count: int,
     terminal_masks: list[int],
+    ceiling: int | None = None,
 ) -> TreeSetResult:
     """Depth-first maximum packing of pairwise compatible candidates.
 
@@ -217,6 +226,8 @@ def _max_disjoint(
     list of compatible candidates is filtered; a child that would record
     a new best is always entered.  The search stops once the root bound
     is attained, and is a deterministic function of the candidate order.
+    A ``ceiling`` of at least 1 caps the root bound, so the count
+    returned is the smaller of the maximum and the ceiling.
     """
     candidates = sorted(candidates, key=lambda c: (len(c.edges), c.edges))
     root_bound = min(
@@ -224,6 +235,8 @@ def _max_disjoint(
         edge_count // (k - 1),
         min(mask.bit_count() for mask in terminal_masks),
     )
+    if ceiling is not None:
+        root_bound = min(root_bound, ceiling)
     best_count = 0
     best: tuple[tuple[tuple[int, int], ...], ...] = ()
     chosen: list[_Candidate] = []
@@ -272,19 +285,22 @@ def _max_disjoint(
     return TreeSetResult(count=best_count, trees=best)
 
 
-def _terminal_tree_candidates(graph: SmallGraph, terminals: frozenset[int]) -> list[_Candidate]:
-    """Every subtree connecting the terminals whose leaves are all terminals.
+def _candidate_layers(graph: SmallGraph, terminals: frozenset[int]) -> Iterator[list[_Candidate]]:
+    """Every subtree connecting the terminals whose leaves are all terminals,
+    one layer per spare (non-terminal) vertex count: 0 spares, then 1, and so on.
 
-    For each set of spare (non-terminal) vertices, the spanning trees of
-    the induced subgraph are enumerated with every spare held to degree
-    at least 2, so no tree with a spare leaf is built.  Local edge
-    indices follow the order of ``graph.edges``, so a tree's edges map
-    back to the host in sorted order.
+    For each set of spares, the spanning trees of the induced subgraph
+    are enumerated with every spare held to degree at least 2, so no
+    tree with a spare leaf is built.  Local edge indices follow the
+    order of ``graph.edges``, so a tree's edges map back to the host in
+    sorted order.  A tree with s spares has |S| + s - 1 edges, so the
+    layers come in increasing tree size.  A layer is built only when the
+    caller asks for it.
     """
     spares = [v for v in range(graph.n) if v not in terminals]
     base = sorted(terminals)
-    out: list[_Candidate] = []
     for size in range(len(spares) + 1):
+        layer: list[_Candidate] = []
         for extra_combo in combinations(spares, size):
             vertices = base + list(extra_combo)
             local = {v: idx for idx, v in enumerate(vertices)}
@@ -299,9 +315,29 @@ def _terminal_tree_candidates(graph: SmallGraph, terminals: frozenset[int]) -> l
             if len(sub_edges) < len(vertices) - 1:
                 continue
             extra_mask = sum(1 << v for v in extra_combo)
-            trees = _spanning_trees(len(vertices), sub_edges, range(len(base), len(vertices)))
-            out.extend(_candidates(trees, host_edges, host_bits, extra_mask))
-    return out
+            # no local holds the trees' index tuples while the caller searches
+            layer.extend(
+                _candidates(
+                    _spanning_trees(len(vertices), sub_edges, range(len(base), len(vertices))),
+                    host_edges,
+                    host_bits,
+                    extra_mask,
+                )
+            )
+        yield layer
+
+
+def _terminal_tree_candidates(graph: SmallGraph, terminals: frozenset[int]) -> list[_Candidate]:
+    """Every layer of ``_candidate_layers``, in order, as one list."""
+    return [cand for layer in _candidate_layers(graph, terminals) for cand in layer]
+
+
+def _terminal_masks(graph: SmallGraph, terminals: frozenset[int]) -> list[int]:
+    """Per terminal, in increasing order, the mask of its incident edges."""
+    return [
+        sum(1 << idx for idx, (u, v) in enumerate(graph.edges) if s in (u, v))
+        for s in sorted(terminals)
+    ]
 
 
 def _candidates(
@@ -334,10 +370,7 @@ def oracle_max_tree_set(graph: SmallGraph, terminals: Iterable[int]) -> TreeSetR
     if not graph.is_connected():
         raise InvalidArgumentError("graph must be connected")
     candidates = _terminal_tree_candidates(graph, terminals)
-    terminal_masks = [
-        sum(1 << idx for idx, (u, v) in enumerate(graph.edges) if s in (u, v))
-        for s in sorted(terminals)
-    ]
+    terminal_masks = _terminal_masks(graph, terminals)
     return _max_disjoint(candidates, len(terminals), len(graph.edges), terminal_masks)
 
 
@@ -469,15 +502,45 @@ def oracle_kappa_k(a: int, b: int, k: int) -> int:
 
     All X vertices are interchangeable and likewise all Y vertices, so
     the canonical profiles S_i cover every k-subset up to relabeling.
+
+    The profiles are taken in order, keeping ``best``, the smallest count
+    so far.  Each profile's candidates are built one spare-count layer at
+    a time (see ``_candidate_layers``), and after each non-empty layer
+    every candidate built so far is searched, up to a ceiling of
+    min(best, edges // (k-1), tightest terminal degree).  The profile is
+    finished once the search reaches the ceiling, or after its last
+    layer.  The minimum stays exact:
+
+    - a packing among some of the candidates is a real packing, so it is
+      a lower bound on the profile's count;
+    - the ceiling is at most ``best``, and the edge and degree bounds hold
+      for every packing, so the ceiling is below the profile's count only
+      where ``best`` is too: stopping there leaves min(best, count) as it is;
+    - the last layer makes the full search.
     """
     if a < 1 or b < 1:
         raise InvalidArgumentError(f"part sizes must be positive, got ({a}, {b})")
-    if a + b > MAX_KAPPA_VERTEX_COUNT:
-        raise InstanceTooLargeError(f"{a + b} vertices exceeds guard {MAX_KAPPA_VERTEX_COUNT}")
     if not 2 <= k <= a + b:
         raise InvalidArgumentError(f"k={k} outside [2, {a + b}]")
+    if a + b > MAX_KAPPA_VERTEX_COUNT:
+        raise InstanceTooLargeError(f"{a + b} vertices exceeds guard {MAX_KAPPA_VERTEX_COUNT}")
     graph = complete_bipartite(a, b)
-    return min(
-        oracle_max_tree_set(graph, bipartite_terminal_vertices(a, b, k, i)).count
-        for i in range(max(0, k - b), min(a, k) + 1)
-    )
+    edge_count = len(graph.edges)
+    best = edge_count  # no count exceeds it
+    for i in range(max(0, k - b), min(a, k) + 1):
+        terminals = bipartite_terminal_vertices(a, b, k, i)
+        terminal_masks = _terminal_masks(graph, terminals)
+        ceiling = min(
+            best, edge_count // (k - 1), min(mask.bit_count() for mask in terminal_masks)
+        )
+        built: list[_Candidate] = []
+        count = 0
+        for layer in _candidate_layers(graph, terminals):
+            if not layer:
+                continue
+            built += layer
+            count = _max_disjoint(built, k, edge_count, terminal_masks, ceiling).count
+            if count >= ceiling:
+                break
+        best = count  # never above the ceiling, so never above best
+    return best

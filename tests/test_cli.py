@@ -67,6 +67,21 @@ class TestKappaCommand:
         code, _, _ = _run(capsys, "kappa", "--a", "3", "--b", "3", "--k", "9")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "a,b,i,message",
+        [
+            (4, 3, 9, "i=9 outside [2, 4] for k=5 on 4x3"),
+            (4, 3, 1, "i=1 outside [2, 4] for k=5 on 4x3"),
+            (3, 4, 9, "i=9 outside [1, 3] for k=5 on 3x4"),
+            (3, 4, 0, "i=0 outside [1, 3] for k=5 on 3x4"),
+        ],
+    )
+    def test_bad_i_is_named_in_callers_labels(self, capsys, a, b, i, message):
+        sizes = ("--a", str(a), "--b", str(b), "--k", "5", "--i", str(i))
+        for command in (("kappa",), ("kappa", "--breakdown"), ("witness",)):
+            code, out, err = _run(capsys, *command, *sizes)
+            assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = _run(capsys, "kappa", "--a", "3")
         assert code == 1
@@ -407,6 +422,10 @@ class TestOracleCommand:
         code, _, err = _run(capsys, "oracle", "--a", "21", "--b", "20")
         assert code == 1
         assert "guard" in err
+
+    def test_bad_k_above_the_guard_names_k(self, capsys):
+        code, out, err = _run(capsys, "oracle", "--a", "4", "--b", "5", "--k", "1")
+        assert (code, out, err) == (1, "", "error: k=1 outside [2, 9]\n")
 
 
 class TestTableCommand:

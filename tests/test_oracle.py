@@ -170,6 +170,24 @@ class TestKappaOracle:
         with pytest.raises(InvalidArgumentError):
             oracle_kappa_k(3, 3, 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    def test_bad_k_is_reported_before_the_guard(self, k):
+        with pytest.raises(InvalidArgumentError, match=f"k={k} outside"):
+            oracle_kappa_k(4, 5, k)
+
+    def test_equals_minimum_of_full_searches(self):
+        # every profile searched in full, in both orientations
+        for total in range(2, 9):
+            for a in range(1, total):
+                b = total - a
+                graph = complete_bipartite(a, b)
+                for k in range(2, total + 1):
+                    full = min(
+                        oracle_max_tree_set(graph, bipartite_terminal_vertices(a, b, k, i)).count
+                        for i in range(max(0, k - b), min(a, k) + 1)
+                    )
+                    assert oracle_kappa_k(a, b, k) == full, (a, b, k)
+
     def test_spanning_case_agrees_with_packing_oracle(self):
         # where both guards allow the instance
         for a, b in [(1, 5), (2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 5), (4, 4)]:
@@ -393,6 +411,28 @@ class TestPrunedOracleIsExact:
         reference = _reference_max_disjoint(expected, graph.n, len(edge_list), masks)
         assert _max_disjoint(expected, graph.n, len(edge_list), masks) == reference
         assert oracle_spanning_packing(a, b) == reference.count
+
+
+class TestSearchCeiling:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_ceiling_caps_the_count(self, data):
+        graph = _connected_graph(data, 6)
+        terminals = frozenset(
+            data.draw(
+                st.lists(st.integers(min_value=0, max_value=graph.n - 1), min_size=2, unique=True),
+                label="terminals",
+            )
+        )
+        ceiling = data.draw(st.integers(min_value=1, max_value=6), label="ceiling")
+        candidates = _terminal_tree_candidates(graph, terminals)
+        masks = _terminal_masks(graph, terminals)
+        edge_count = len(graph.edges)
+        full = _max_disjoint(candidates, len(terminals), edge_count, masks)
+        capped = _max_disjoint(candidates, len(terminals), edge_count, masks, ceiling)
+        assert capped.count == min(full.count, ceiling)
+        assert len(capped.trees) == capped.count
+        _assert_valid_tree_set(graph, terminals, capped.trees)
 
 
 class TestTerminalArgument:
