@@ -113,7 +113,7 @@ def packing_document(packing: SpanningTreePacking) -> CertificateDocument:
 def witness_document(order: BipartiteOrder, witness: SteinerWitness) -> CertificateDocument:
     """Certificate for a witness, in the caller's orientation."""
     trees = tuple(DocumentTree(ct.tree.edges, ct.klass.value) for ct in witness.trees)
-    k, i = witness.terminal.k, witness.terminal.i
+    k, i = witness.k, witness.i
     return _caller_document(order, CertificateDocument("witness", order.a, order.b, k, i, trees))
 
 
@@ -198,11 +198,8 @@ def parse_document(text: str) -> CertificateDocument:
             raise InvalidArgumentError(f"tree {position} has unknown class {tree_class!r}")
         edges = []
         for edge in raw["edges"]:
-            if (
-                not isinstance(edge, list)
-                or len(edge) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
-            ):
+            # json.loads makes exact ints, so an exact type test rejects bools.
+            if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is int and type(edge[1]) is int):
                 raise InvalidArgumentError(f"tree {position} has a malformed edge {edge!r}")
             edges.append((edge[0], edge[1]))
         trees.append(DocumentTree(edges=tuple(edges), tree_class=tree_class))

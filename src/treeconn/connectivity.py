@@ -17,8 +17,8 @@ from .core import (
     ConstructionBugError,
     InvalidArgumentError,
     Side,
+    check_profile,
     terminal_range,
-    terminal_set,
 )
 
 
@@ -63,8 +63,8 @@ def kappa_terminal(order: BipartiteOrder, k: int, i: int) -> KappaBreakdown:
     one-sided profiles i = 0 and i = k degenerate to a (resp. b) star
     trees hubbed on the opposite side.
     """
-    terminal_set(order, k, i)
     a, b = order.a, order.b
+    check_profile(a, b, k, i)
     if i == 0:
         return KappaBreakdown(a2=0, a1=a, a1_side=Side.X, a0=0, kappa=a)
     if i == k:

@@ -111,36 +111,18 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TerminalSet:
-    """The canonical k-vertex terminal set with i vertices taken from X.
-
-    Denotes {x_1, ..., x_i} union {y_1, ..., y_{k-i}}.  Since all X
-    vertices are interchangeable (and likewise all Y vertices), every
-    k-subset of the host graph is equivalent to exactly one such profile.
-    """
-
-    i: int
-    k: int
-
-
 def check_profile(a: int, b: int, k: int, i: int) -> None:
     """Raise unless 2 <= k <= a + b and max(0, k - b) <= i <= min(a, k).
 
-    The sizes may come in either order; the message names them as given.
+    A valid (k, i) names S_i = {x_1..x_i} + {y_1..y_{k-i}}, to which every
+    k-subset of the host is equivalent.  The sizes may come in either
+    order; the i message names them as given.
     """
     if not 2 <= k <= a + b:
-        raise InvalidTerminalSetError(f"k={k} outside [2, {a + b}] for {a}x{b}")
+        raise InvalidTerminalSetError(f"k={k} outside [2, {a + b}]")
     lo, hi = max(0, k - b), min(a, k)
     if not lo <= i <= hi:
         raise InvalidTerminalSetError(f"i={i} outside [{lo}, {hi}] for k={k} on {a}x{b}")
-
-
-def terminal_set(order: BipartiteOrder, k: int, i: int) -> TerminalSet:
-    """The canonical terminal set S_i, or raise if (k, i) is out of range
-    (see ``check_profile``)."""
-    check_profile(order.a, order.b, k, i)
-    return TerminalSet(i=i, k=k)
 
 
 def terminal_range(order: BipartiteOrder, k: int) -> range:

@@ -9,14 +9,17 @@ emits them; the verifier accepts any internally disjoint family.
 
 Greedy order: as many A2 trees as spare vertex pairs allow, then single
 hubs on whichever side has spares left, then terminal-only trees from
-the remaining internal-edge budget.
+the remaining internal-edge budget.  The terminal-only trees are built
+first; each single-hub tree then attaches every terminal on its hub's
+side through that terminal's lowest-indexed internal edge left free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .connectivity import kappa_terminal
 from .core import (
@@ -25,12 +28,10 @@ from .core import (
     InvalidArgumentError,
     InvalidTerminalSetError,
     Side,
-    TerminalSet,
     Tree,
     ValidationReport,
     Vertex,
     Violation,
-    terminal_set,
     verify_family,
     xv,
     yv,
@@ -57,65 +58,18 @@ class ClassifiedTree:
 
 @dataclass(frozen=True)
 class SteinerWitness:
-    """A set of internally disjoint trees connecting one terminal set."""
+    """A set of internally disjoint trees connecting the terminal set S_i
+    with k terminals, i of them in X (see ``check_profile``)."""
 
-    terminal: TerminalSet
+    k: int
+    i: int
     trees: tuple[ClassifiedTree, ...]
 
     def __len__(self) -> int:
         return len(self.trees)
 
 
-class ResidualLedger:
-    """Internal edges (both ends terminals) not yet used by any tree.
-
-    Terminal-only trees consume internal edges wholesale; each single-hub
-    tree then needs one remaining internal edge per same-side terminal.
-    The packing below spreads its edges so evenly that after p
-    terminal-only trees every terminal still has at least the needed
-    number of partners.
-    """
-
-    def __init__(self, x_count: int, y_count: int) -> None:
-        self.x_count = x_count
-        self.y_count = y_count
-        self._free: set[tuple[int, int]] = {
-            (x, y) for x in range(1, x_count + 1) for y in range(1, y_count + 1)
-        }
-        # Each terminal's partners in ascending order, made on its first
-        # take.  Edges only ever leave ``_free``, so a partner found used
-        # can be dropped from the queue for good.
-        self._partners: dict[Vertex, Iterator[int]] = {}
-
-    def consume(self, x: int, y: int) -> None:
-        """Mark one internal edge as used."""
-        if (x, y) not in self._free:
-            raise ConstructionBugError(f"internal edge (x{x}, y{y}) already used or absent")
-        self._free.remove((x, y))
-
-    def capacity(self, v: Vertex) -> int:
-        """Remaining internal edges at a terminal."""
-        if v.side is Side.X:
-            return sum(1 for x, _ in self._free if x == v.index)
-        return sum(1 for _, y in self._free if y == v.index)
-
-    def take_lowest(self, v: Vertex) -> tuple[int, int]:
-        """Pop the lowest-indexed remaining internal edge at a terminal."""
-        queue = self._partners.get(v)
-        if queue is None:
-            limit = self.y_count if v.side is Side.X else self.x_count
-            queue = self._partners[v] = iter(range(1, limit + 1))
-        for partner in queue:
-            edge = (v.index, partner) if v.side is Side.X else (partner, v.index)
-            if edge in self._free:
-                self._free.remove(edge)
-                return edge
-        raise ConstructionBugError(f"no internal edges left at {v}")
-
-
-def build_a2_trees(
-    order: BipartiteOrder, terminal: TerminalSet, count: int
-) -> tuple[ClassifiedTree, ...]:
+def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[ClassifiedTree, ...]:
     """``count`` two-hub trees, pairing spare vertices in index order.
 
     Tree c uses hubs x_{i+c} and y_{(k-i)+c}: the x-hub covers every
@@ -123,7 +77,7 @@ def build_a2_trees(
     joins the two stars (without it the two stars would be a forest).
     No internal edges are consumed.
     """
-    i, m = terminal.i, terminal.k - terminal.i
+    m = k - i
     supply = min(order.a - i, order.b - m)
     if not 0 <= count <= supply:
         raise InvalidArgumentError(f"requested {count} two-hub trees, only {supply} spare pairs")
@@ -143,7 +97,8 @@ def build_a2_trees(
 
 def build_internal_trees(
     order: BipartiteOrder,
-    terminal: TerminalSet,
+    k: int,
+    i: int,
     p: int,
     q: int,
     side: Side,
@@ -160,10 +115,11 @@ def build_internal_trees(
     packing machinery with its row side on ``side`` so the per-terminal
     usage there is a balanced window sum; phase two hands each hub tree
     one hub (skipping ``spare_offset`` spares already taken by two-hub
-    trees) and attaches each same-side terminal through the
-    lowest-indexed internal edge still in the ledger.
+    trees).  Each same-side terminal lists its q lowest-indexed partners
+    whose internal edge the terminal-only trees left free, and hub tree h
+    attaches the terminal through the h-th of them.
     """
-    i, m, k = terminal.i, terminal.k - terminal.i, terminal.k
+    m = k - i
     if p < 0 or q < 0:
         raise InvalidArgumentError(f"tree counts must be nonnegative, got p={p}, q={q}")
     cost = i if side is Side.X else m
@@ -175,36 +131,41 @@ def build_internal_trees(
     if spare_offset + q > spare_total:
         raise InvalidArgumentError(f"need {q} spare hubs on side {side.value}, have {spare_total - spare_offset}")
 
-    ledger = ResidualLedger(i, m)
     trees: list[ClassifiedTree] = []
-
+    used: set[tuple[int, int]] = set()
     if p > 0:
         # Rows on the attachment side: its per-terminal edge usage across
         # the p trees is then a width-p window sum, balanced within one,
-        # which is what guarantees the ledger can serve phase two.
+        # which is what leaves every terminal q free partners for phase two.
         rows, cols = (i, m) if side is Side.X else (m, i)
         dseq = degree_sequence(rows, cols, p)
         if not verify_shift_capacity(dseq, cols, p):
             raise ConstructionBugError(f"internal packing capacity failed at p={p} for ({i}, {m})")
         for shift_index in range(1, p + 1):
-            packed = build_tree(dseq, cols, shift_index)
-            if side is Side.X:
-                real = [(r, c) for r, c in packed.edges]
-            else:
-                real = [(c, r) for r, c in packed.edges]
-            for x, y in real:
-                ledger.consume(x, y)
-            trees.append(ClassifiedTree(tree=Tree(tuple(real)), klass=TreeClass.A0, extras=frozenset()))
+            packed = build_tree(dseq, cols, shift_index).edges
+            real = packed if side is Side.X else tuple((c, r) for r, c in packed)
+            used.update(real)
+            trees.append(ClassifiedTree(tree=Tree(real), klass=TreeClass.A0, extras=frozenset()))
+        if len(used) != p * (k - 1):
+            raise ConstructionBugError(f"the {p} terminal-only trees share internal edges")
 
-    for hub_number in range(1, q + 1):
+    # The q lowest-indexed internal edges at each same-side terminal s
+    # that the terminal-only trees left unused; hub tree h takes the h-th.
+    free = []
+    for s in range(1, cost + 1):
+        at_s = ((s, t) for t in range(1, m + 1)) if side is Side.X else ((x, s) for x in range(1, i + 1))
+        free.append(list(islice((e for e in at_s if e not in used), q)))
+        if len(free[-1]) < q:
+            raise ConstructionBugError(f"terminal {s} on side {side.value} has under {q} free internal edges")
+
+    for h in range(q):
         if side is Side.X:
-            hub = xv(i + spare_offset + hub_number)
+            hub = xv(i + spare_offset + h + 1)
             edges = [(hub.index, t) for t in range(1, m + 1)]
-            edges += [ledger.take_lowest(xv(s)) for s in range(1, i + 1)]
         else:
-            hub = yv(m + spare_offset + hub_number)
+            hub = yv(m + spare_offset + h + 1)
             edges = [(s, hub.index) for s in range(1, i + 1)]
-            edges += [ledger.take_lowest(yv(t)) for t in range(1, m + 1)]
+        edges += [lowest[h] for lowest in free]
         trees.append(ClassifiedTree(tree=Tree(tuple(edges)), klass=TreeClass.A1, extras=frozenset({hub})))
 
     return tuple(trees)
@@ -217,22 +178,14 @@ def build_witness(order: BipartiteOrder, k: int, i: int) -> SteinerWitness:
     one-sided terminal set has only A1 trees: stars hubbed at every
     vertex of the other part, which attach no same-side terminal.
     """
-    terminal = terminal_set(order, k, i)
     breakdown = kappa_terminal(order, k, i)
     side = breakdown.a1_side if breakdown.a1_side is not None else Side.X
-    trees = build_a2_trees(order, terminal, breakdown.a2) + build_internal_trees(
-        order,
-        terminal,
-        p=breakdown.a0,
-        q=breakdown.a1,
-        side=side,
-        spare_offset=breakdown.a2,
+    trees = build_a2_trees(order, k, i, breakdown.a2) + build_internal_trees(
+        order, k, i, p=breakdown.a0, q=breakdown.a1, side=side, spare_offset=breakdown.a2
     )
     if len(trees) != breakdown.kappa:
-        raise ConstructionBugError(
-            f"built {len(trees)} trees, breakdown promises {breakdown.kappa}"
-        )
-    return SteinerWitness(terminal=terminal, trees=trees)
+        raise ConstructionBugError(f"built {len(trees)} trees, breakdown promises {breakdown.kappa}")
+    return SteinerWitness(k=k, i=i, trees=trees)
 
 
 def verify_witness_trees(
@@ -270,8 +223,8 @@ def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> Validation
     kappa(S_i); see ``verify_witness_trees``."""
     return verify_witness_trees(
         order,
-        witness.terminal.k,
-        witness.terminal.i,
+        witness.k,
+        witness.i,
         [ct.tree.edges for ct in witness.trees],
         [ct.extras for ct in witness.trees],
         [ct.klass.value for ct in witness.trees],

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and certificate documents."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,22 @@ class TestKappaCommand:
             code, out, err = _run(capsys, *command, *sizes)
             assert (code, out, err) == (1, "", f"error: {message}\n"), command
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("kappa",),
+            ("kappa", "--i", "2"),
+            ("kappa", "--breakdown"),
+            ("kappa", "--breakdown", "--i", "2"),
+            ("witness",),
+            ("witness", "--i", "2"),
+        ],
+    )
+    def test_bad_k_has_one_wording(self, capsys, command):
+        # k's range [2, a+b] does not depend on which part is named first.
+        code, out, err = _run(capsys, *command, "--a", "4", "--b", "3", "--k", "9")
+        assert (code, out, err) == (1, "", "error: k=9 outside [2, 7]\n")
+
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = _run(capsys, "kappa", "--a", "3")
         assert code == 1
@@ -115,6 +132,26 @@ class TestPackCommand:
         edge_lines = [line for line in out.splitlines() if "--" in line]
         assert len(edge_lines) == 3
         assert len({line.split('color="')[1].split('"')[0] for line in edge_lines}) == 1
+
+
+def test_certificates_match_the_golden_digest(capsys):
+    """The exit codes and certificates of ``pack`` and ``witness`` for
+    1 <= a, b <= 7, both orders of the sizes, every k and every i, hash
+    to one pinned SHA-1: certificates must stay byte-identical."""
+    digest = hashlib.sha1()
+    count = 0
+    for a in range(1, 8):
+        for b in range(1, 8):
+            commands = [("pack", "--a", str(a), "--b", str(b))]
+            for k in range(2, a + b + 1):
+                for i in range(max(0, k - b), min(a, k) + 1):
+                    commands.append(("witness", "--a", str(a), "--b", str(b), "--k", str(k), "--i", str(i)))
+            for argv in commands:
+                code, out, _ = _run(capsys, *argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+                count += 1
+    assert count == 1127
+    assert digest.hexdigest() == "99f3781a532aceb4e35874da702c33c3edfd7e7c"
 
 
 class TestWitnessCommand:
@@ -463,6 +500,12 @@ class TestDocumentLayer:
             '{"kind":"packing","a":1,"b":"x","trees":[]}',
             '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[1]]}]}',
             '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[1,true]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[1.0,1]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[["1",1]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[null,1]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[false,1]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[[1,2,3]]}]}',
+            '{"kind":"packing","a":1,"b":1,"trees":[{"edges":[{"x":1}]}]}',
             '{"kind":"packing","a":1,"b":1,"trees":[{"class":"A9","edges":[]}]}',
             '{"kind":"witness","a":2,"b":2,"trees":[]}',
         ):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treeconn import InvalidArgumentError, InvalidTerminalSetError, normalize
-from treeconn.core import BipartiteOrder, Side, Tree, terminal_set, verify_family, xv, yv
+from treeconn.core import BipartiteOrder, Side, Tree, check_profile, verify_family, xv, yv
 
 
 class TestNormalize:
@@ -110,41 +110,27 @@ class TestValidateTree:
         assert _check_tree(order, doubled, order.a, order.b).first_kind == "cycle"
 
 
-def _terminals(ts):
-    """The vertices of S_i: x_1..x_i and y_1..y_{k-i}."""
-    return {xv(s) for s in range(1, ts.i + 1)} | {yv(t) for t in range(1, ts.k - ts.i + 1)}
-
-
-class TestTerminalSet:
-    def test_mixed_profile(self):
-        ts = terminal_set(BipartiteOrder(3, 4), 5, 2)
-        assert _terminals(ts) == {xv(1), xv(2), yv(1), yv(2), yv(3)}
-
-    def test_all_y_profile(self):
-        ts = terminal_set(BipartiteOrder(2, 5), 3, 0)
-        assert _terminals(ts) == {yv(1), yv(2), yv(3)}
-
+class TestCheckProfile:
     def test_rejects_i_beyond_part(self):
         with pytest.raises(InvalidTerminalSetError):
-            terminal_set(BipartiteOrder(2, 5), 3, 3)
+            check_profile(2, 5, 3, 3)
 
     def test_rejects_k_out_of_range(self):
-        order = BipartiteOrder(2, 3)
         with pytest.raises(InvalidTerminalSetError):
-            terminal_set(order, 1, 0)
-        with pytest.raises(InvalidTerminalSetError):
-            terminal_set(order, 6, 2)
+            check_profile(2, 3, 1, 0)
+        with pytest.raises(InvalidTerminalSetError, match=r"^k=6 outside \[2, 5\]$"):
+            check_profile(2, 3, 6, 2)
 
     def test_accepts_exactly_the_valid_range(self):
-        # exhaustive over small hosts: valid iff max(0, k-b) <= i <= min(a, k)
-        for b in range(1, 11):
-            for a in range(1, b + 1):
-                order = BipartiteOrder(a, b)
+        # exhaustive over small hosts, in both orders of the sizes:
+        # valid iff max(0, k-b) <= i <= min(a, k)
+        for a in range(1, 11):
+            for b in range(1, 11):
                 for k in range(0, a + b + 3):
                     for i in range(-1, k + 2):
                         should_work = 2 <= k <= a + b and max(0, k - b) <= i <= min(a, k)
                         if should_work:
-                            assert terminal_set(order, k, i) is not None
+                            check_profile(a, b, k, i)
                         else:
                             with pytest.raises(InvalidTerminalSetError):
-                                terminal_set(order, k, i)
+                                check_profile(a, b, k, i)

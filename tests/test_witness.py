@@ -11,11 +11,11 @@ from treeconn import (
     verify_witness,
 )
 from treeconn.connectivity import kappa_terminal
-from treeconn.core import Side, Tree, terminal_range, terminal_set, xv, yv
+from treeconn.core import Side, Tree, terminal_range, xv, yv
 from treeconn.oracle import bipartite_terminal_vertices, complete_bipartite, oracle_max_tree_set
+import treeconn.witness as witness_module
 from treeconn.witness import (
     ClassifiedTree,
-    ResidualLedger,
     SteinerWitness,
     TreeClass,
     build_a2_trees,
@@ -23,15 +23,15 @@ from treeconn.witness import (
 )
 
 
-def _terminals(ts) -> set:
+def _terminals(k: int, i: int) -> set:
     """The vertices of S_i: x_1..x_i and y_1..y_{k-i}."""
-    return {xv(s) for s in range(1, ts.i + 1)} | {yv(t) for t in range(1, ts.k - ts.i + 1)}
+    return {xv(s) for s in range(1, i + 1)} | {yv(t) for t in range(1, k - i + 1)}
 
 
 class TestTwoHubTrees:
     def test_single_pair(self):
         order = normalize(2, 3)
-        trees = build_a2_trees(order, terminal_set(order, 3, 1), 1)
+        trees = build_a2_trees(order, 3, 1, 1)
         assert len(trees) == 1
         assert trees[0].klass is TreeClass.A2
         assert trees[0].extras == frozenset({xv(2), yv(3)})
@@ -39,101 +39,90 @@ class TestTwoHubTrees:
 
     def test_zero_count(self):
         order = normalize(2, 3)
-        assert build_a2_trees(order, terminal_set(order, 3, 1), 0) == ()
+        assert build_a2_trees(order, 3, 1, 0) == ()
 
     def test_edge_count_is_k_plus_one(self):
         order = normalize(3, 4)
-        trees = build_a2_trees(order, terminal_set(order, 5, 2), 1)
+        trees = build_a2_trees(order, 5, 2, 1)
         assert len(trees[0].tree.edges) == 6
 
     def test_rejects_excess_demand(self):
         order = normalize(2, 3)
         with pytest.raises(InvalidArgumentError):
-            build_a2_trees(order, terminal_set(order, 3, 1), 2)
-
-
-class TestResidualLedger:
-    def test_initial_capacities(self):
-        ledger = ResidualLedger(2, 3)
-        assert ledger.capacity(xv(1)) == 3
-        assert ledger.capacity(yv(2)) == 2
-
-    def test_take_lowest_in_order(self):
-        ledger = ResidualLedger(2, 3)
-        assert ledger.take_lowest(xv(1)) == (1, 1)
-        assert ledger.take_lowest(xv(1)) == (1, 2)
-        assert ledger.capacity(xv(1)) == 1
-        assert ledger.take_lowest(yv(3)) == (1, 3)
-
-    def test_consume_then_exhaust(self):
-        ledger = ResidualLedger(1, 2)
-        ledger.consume(1, 1)
-        ledger.consume(1, 2)
-        with pytest.raises(ConstructionBugError):
-            ledger.take_lowest(xv(1))
-
-    def test_consume_twice_is_a_bug(self):
-        ledger = ResidualLedger(1, 2)
-        ledger.consume(1, 1)
-        with pytest.raises(ConstructionBugError):
-            ledger.consume(1, 1)
+            build_a2_trees(order, 3, 1, 2)
 
 
 class TestInternalTrees:
     def test_single_terminal_only_tree(self):
         order = normalize(2, 3)
-        trees = build_internal_trees(order, terminal_set(order, 3, 1), p=1, q=0, side=Side.X)
+        trees = build_internal_trees(order, 3, 1, p=1, q=0, side=Side.X)
         assert len(trees) == 1
         assert trees[0].klass is TreeClass.A0
         assert set(trees[0].tree.edges) == {(1, 1), (1, 2)}
 
     def test_terminal_only_tree_spans_terminals(self):
         order = normalize(3, 4)
-        trees = build_internal_trees(order, terminal_set(order, 5, 2), p=1, q=0, side=Side.X)
+        trees = build_internal_trees(order, 5, 2, p=1, q=0, side=Side.X)
         assert len(trees[0].tree.edges) == 4
         edges = trees[0].tree.edges
-        assert {xv(x) for x, _ in edges} | {yv(y) for _, y in edges} == _terminals(
-            terminal_set(order, 5, 2)
-        )
+        assert {xv(x) for x, _ in edges} | {yv(y) for _, y in edges} == _terminals(5, 2)
 
     def test_empty_request(self):
         order = normalize(2, 3)
-        assert build_internal_trees(order, terminal_set(order, 3, 1), 0, 0, Side.X) == ()
+        assert build_internal_trees(order, 3, 1, 0, 0, Side.X) == ()
 
     def test_rejects_budget_violation(self):
         order = normalize(3, 3)
         # S_1 with k=3 has an internal budget of 1*2 = 2 < 2*(k-1)
         with pytest.raises(InvalidArgumentError):
-            build_internal_trees(order, terminal_set(order, 3, 1), p=2, q=0, side=Side.X)
+            build_internal_trees(order, 3, 1, p=2, q=0, side=Side.X)
 
     def test_rejects_one_sided_terminals(self):
         order = normalize(2, 3)
         with pytest.raises(InvalidArgumentError):
-            build_internal_trees(order, terminal_set(order, 3, 0), p=1, q=0, side=Side.X)
+            build_internal_trees(order, 3, 0, p=1, q=0, side=Side.X)
 
     def test_one_sided_terminals_get_stars(self):
         # No same-side terminal to attach, so each hub tree is a star.
         order = normalize(3, 4)
-        trees = build_internal_trees(order, terminal_set(order, 4, 0), p=0, q=3, side=Side.X)
+        trees = build_internal_trees(order, 4, 0, p=0, q=3, side=Side.X)
         assert [ct.tree.edges for ct in trees] == [((c, 1), (c, 2), (c, 3), (c, 4)) for c in (1, 2, 3)]
         assert [ct.extras for ct in trees] == [frozenset({xv(c)}) for c in (1, 2, 3)]
         assert all(ct.klass is TreeClass.A1 for ct in trees)
-        trees = build_internal_trees(order, terminal_set(order, 3, 3), p=0, q=4, side=Side.Y)
+        trees = build_internal_trees(order, 3, 3, p=0, q=4, side=Side.Y)
         assert [ct.tree.edges for ct in trees] == [((1, c), (2, c), (3, c)) for c in (1, 2, 3, 4)]
         assert [ct.extras for ct in trees] == [frozenset({yv(c)}) for c in (1, 2, 3, 4)]
         # Y hubs would each need an internal edge per Y terminal: none exist.
         with pytest.raises(InvalidArgumentError):
-            build_internal_trees(order, terminal_set(order, 4, 0), p=0, q=3, side=Side.Y)
+            build_internal_trees(order, 4, 0, p=0, q=3, side=Side.Y)
 
     def test_hub_trees_draw_from_ledger(self):
         order = normalize(3, 4)
         # S_1 with k=5: hubs on the X side, each attaching x1 by one internal edge
-        trees = build_internal_trees(order, terminal_set(order, 5, 1), p=0, q=2, side=Side.X)
+        trees = build_internal_trees(order, 5, 1, p=0, q=2, side=Side.X)
         assert [t.klass for t in trees] == [TreeClass.A1, TreeClass.A1]
         assert trees[0].extras == frozenset({xv(2)})
         assert trees[1].extras == frozenset({xv(3)})
         assert (1, 1) in trees[0].tree.edges
         assert (1, 2) in trees[1].tree.edges
+
+    def test_overlapping_terminal_only_trees_are_a_bug(self, monkeypatch):
+        # K_{4,4} internal graph: room for two disjoint spanning trees, but
+        # a broken packer that returns one tree twice must not get through.
+        order = normalize(4, 4)
+        first = build_internal_trees(order, 8, 4, p=1, q=0, side=Side.X)[0].tree
+        monkeypatch.setattr(witness_module, "build_tree", lambda *args: first)
+        with pytest.raises(ConstructionBugError, match="share internal edges"):
+            build_internal_trees(order, 8, 4, p=2, q=0, side=Side.X)
+
+    def test_terminal_without_free_partners_is_a_bug(self, monkeypatch):
+        # S_2 with k=5 on 3x4: one A0 tree and one X hub fit the budget of
+        # 6 internal edges, but a lopsided A0 tree leaves x1 no partner.
+        order = normalize(3, 4)
+        lopsided = Tree(((1, 1), (1, 2), (1, 3), (2, 1)))
+        monkeypatch.setattr(witness_module, "build_tree", lambda *args: lopsided)
+        with pytest.raises(ConstructionBugError, match="terminal 1 on side X"):
+            build_internal_trees(order, 5, 2, p=1, q=1, side=Side.X)
 
 
 class TestBuildWitness:
@@ -173,31 +162,28 @@ class TestVerifyWitness:
     def test_shared_hub_is_vertex_overlap(self):
         order = normalize(3, 3)
         witness = build_witness(order, 3, 0)
-        doubled = SteinerWitness(witness.terminal, (witness.trees[0], witness.trees[0]))
+        doubled = SteinerWitness(witness.k, witness.i, (witness.trees[0], witness.trees[0]))
         assert verify_witness(order, doubled).first_kind == "vertex-overlap"
 
     def test_shared_edge_is_edge_overlap(self):
         order = normalize(2, 2)
-        terminal = terminal_set(order, 4, 2)
         first = ClassifiedTree(Tree(((1, 1), (1, 2), (2, 2))), TreeClass.A0, frozenset())
         second = ClassifiedTree(Tree(((1, 1), (2, 1), (2, 2))), TreeClass.A0, frozenset())
-        witness = SteinerWitness(terminal, (first, second))
+        witness = SteinerWitness(4, 2, (first, second))
         assert verify_witness(order, witness).first_kind == "edge-overlap"
 
     def test_cycle_is_bad_tree(self):
         order = normalize(2, 2)
-        terminal = terminal_set(order, 4, 2)
         looped = ClassifiedTree(
             Tree(((1, 1), (1, 2), (2, 1), (2, 2))), TreeClass.A0, frozenset()
         )
-        witness = SteinerWitness(terminal, (looped,))
+        witness = SteinerWitness(4, 2, (looped,))
         assert verify_witness(order, witness).first_kind == "bad-tree"
 
     def test_missing_terminal_is_wrong_terminals(self):
         order = normalize(2, 2)
-        terminal = terminal_set(order, 4, 2)
         stub = ClassifiedTree(Tree(((1, 1),)), TreeClass.A0, frozenset())
-        witness = SteinerWitness(terminal, (stub,))
+        witness = SteinerWitness(4, 2, (stub,))
         assert verify_witness(order, witness).first_kind == "wrong-terminals"
 
     def test_profile_must_fit_the_host(self):
@@ -225,7 +211,7 @@ class TestWitnessSweep:
                         hubs = set()
                         hub_sides = set()
                         internal_used = 0
-                        terminals = _terminals(witness.terminal)
+                        terminals = _terminals(witness.k, witness.i)
                         m = k - i
                         for ct in witness.trees:
                             by_class[ct.klass.value] += 1
