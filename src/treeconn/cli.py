@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid arguments or instance-too-large,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -23,8 +24,10 @@ from .core import (
     BipartiteOrder,
     InstanceTooLargeError,
     InvalidArgumentError,
+    InvalidTerminalSetError,
     Side,
     ValidationReport,
+    Violation,
     check_profile,
     normalize,
     verify_family,
@@ -211,9 +214,15 @@ def verify_document(doc: CertificateDocument) -> ValidationReport:
     match, and as many trees as the closed form allows (see ``verify_family``
     and ``verify_witness_trees``).  Each tree is read in sorted order in the
     normalized a <= b labels, which its violations name, so a certificate
-    and its mirror image report the same violation."""
+    and its mirror image report the same violation.  A witness's k and i
+    are range-checked first, in the document's own labels."""
     order = normalize(doc.a, doc.b)
     assert doc.kind == "packing" or (doc.k is not None and doc.i is not None)
+    if doc.kind == "witness":
+        try:
+            check_profile(doc.a, doc.b, doc.k, doc.i)
+        except InvalidTerminalSetError as exc:
+            return ValidationReport((Violation("wrong-terminals", str(exc)),))
     doc = _oriented(order, doc)
     trees = [sorted(t.edges) for t in doc.trees]
     classes = [t.tree_class for t in doc.trees]
@@ -236,7 +245,11 @@ def _add_sizes(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b", type=int, required=True, help="size of the second part")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then kept for the process.
+    It holds no stream: usage, help and errors go to sys.stdout and
+    sys.stderr as they are when it prints."""
     parser = _Parser(prog="treeconn", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -266,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = commands.add_parser(
         "oracle",
         help="exact values independent of the constructions: edge-disjoint spanning "
-        "trees by matroid partition (ab <= 400), kappa_k by exhaustive search (a+b <= 8)",
+        "trees by matroid partition (ab <= 400), kappa_k by exhaustive search (a+b <= 8; "
+        "k = a+b by matroid partition)",
     )
     _add_sizes(oracle)
     oracle.add_argument("--k", type=int, default=None, help="omit to count spanning trees")
@@ -357,10 +371,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Dispatch one CLI invocation and return its exit code."""
-    parser = _build_parser()
+    """Dispatch one CLI invocation and return its exit code.  The parser
+    is built on the first call and reused by every later one."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

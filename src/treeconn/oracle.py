@@ -18,13 +18,23 @@ a child's free-edge and tightest-terminal bounds from its used edges
 before it filters the child's compatible candidates, and skips a child
 that cannot beat the best packing found so far.
 
+The enumeration runs once per local graph.  Spare sets of one size that
+induce the same subgraph, in local labels, share one list of trees: the
+trees depend only on that subgraph, and each set maps them to its own
+host edges.  On K_{a,b} that is one enumeration per count of X and Y
+spares.  The list lives for one call; nothing is kept between calls.
+
 ``oracle_kappa_k`` needs each profile's count only up to the smallest
 count so far, so it builds a profile's candidates one spare-count layer
 at a time (0 spares, then 1, ...) and searches what it has built after
 each layer, stopping at that ceiling.  A packing among some candidates
 is a real packing, so a lower bound on the count; a count that reaches
 the ceiling cannot move the minimum; and the last layer makes the full
-search, so the minimum stays exact.
+search, so the minimum stays exact.  At k = a + b every vertex is a
+terminal: no tree has a spare vertex, so any two trees meet only in S,
+and the count is the maximum number of edge-disjoint spanning trees,
+which the matroid partition below finds without enumerating a tree.
+The vertex guard still comes first.
 
 ``oracle_spanning_packing`` enumerates nothing.  Edge-disjoint spanning
 trees are bases of the graphic matroid, so it partitions the edges into
@@ -296,9 +306,18 @@ def _candidate_layers(graph: SmallGraph, terminals: frozenset[int]) -> Iterator[
     sorted order.  A tree with s spares has |S| + s - 1 edges, so the
     layers come in increasing tree size.  A layer is built only when the
     caller asks for it.
+
+    Spare sets that induce the same local graph share one enumeration,
+    kept for the layer being built: ``_spanning_trees`` is a function of
+    the vertex count, the local edges and the spares, which are always
+    the last len(vertices) - |S| local vertices, so the index tuples are
+    the same, and ``_candidates`` maps them to each set's own host edges.
+    On K_{a,b}, spare sets with the same numbers of X and Y spares
+    induce the same local graph.
     """
     spares = [v for v in range(graph.n) if v not in terminals]
     base = sorted(terminals)
+    trees_of: dict[tuple, list[tuple[int, ...]]] = {}  # (n, local edges) -> trees
     for size in range(len(spares) + 1):
         layer: list[_Candidate] = []
         for extra_combo in combinations(spares, size):
@@ -314,16 +333,15 @@ def _candidate_layers(graph: SmallGraph, terminals: frozenset[int]) -> Iterator[
                     host_bits.append(1 << idx)
             if len(sub_edges) < len(vertices) - 1:
                 continue
+            key = (len(vertices), tuple(sub_edges))
+            if key not in trees_of:
+                spare_range = range(len(base), len(vertices))
+                trees_of[key] = _spanning_trees(len(vertices), sub_edges, spare_range)
             extra_mask = sum(1 << v for v in extra_combo)
-            # no local holds the trees' index tuples while the caller searches
-            layer.extend(
-                _candidates(
-                    _spanning_trees(len(vertices), sub_edges, range(len(base), len(vertices))),
-                    host_edges,
-                    host_bits,
-                    extra_mask,
-                )
-            )
+            layer.extend(_candidates(trees_of[key], host_edges, host_bits, extra_mask))
+        # no later layer has this vertex count, and no local holds the
+        # trees' index tuples while the caller searches
+        trees_of.clear()
         yield layer
 
 
@@ -517,6 +535,17 @@ def oracle_kappa_k(a: int, b: int, k: int) -> int:
       for every packing, so the ceiling is below the profile's count only
       where ``best`` is too: stopping there leaves min(best, count) as it is;
     - the last layer makes the full search.
+
+    Within one call, spare sets that induce the same local graph share
+    one enumeration; the trees depend only on that graph, so the
+    candidates are those of separate enumerations (see
+    ``_candidate_layers``).
+
+    At k = a + b every vertex is a terminal, so no tree has a spare
+    vertex and any two trees meet exactly in S: the count is the maximum
+    number of edge-disjoint spanning trees, which ``_spanning_packing``
+    finds by matroid partition without enumerating a tree.  The vertex
+    guard still applies first.
     """
     if a < 1 or b < 1:
         raise InvalidArgumentError(f"part sizes must be positive, got ({a}, {b})")
@@ -525,6 +554,8 @@ def oracle_kappa_k(a: int, b: int, k: int) -> int:
     if a + b > MAX_KAPPA_VERTEX_COUNT:
         raise InstanceTooLargeError(f"{a + b} vertices exceeds guard {MAX_KAPPA_VERTEX_COUNT}")
     graph = complete_bipartite(a, b)
+    if k == a + b:
+        return _spanning_packing(graph).count
     edge_count = len(graph.edges)
     best = edge_count  # no count exceeds it
     for i in range(max(0, k - b), min(a, k) + 1):

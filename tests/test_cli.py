@@ -1,7 +1,9 @@
 """Tests for the command-line interface and certificate documents."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 from treeconn.cli import (
     CertificateDocument,
     DocumentTree,
+    _build_parser,
     emit_dot,
     emit_json,
     packing_document,
@@ -283,6 +286,24 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"class-mismatch: tree 0 is declared {declared} but has 0 vertices outside S\n"
 
+    @pytest.mark.parametrize(
+        "a,b,i,message",
+        [
+            (4, 3, 6, "i=6 outside [2, 4] for k=5 on 4x3"),
+            (4, 3, -1, "i=-1 outside [2, 4] for k=5 on 4x3"),
+            (3, 4, 6, "i=6 outside [1, 3] for k=5 on 3x4"),
+            (3, 4, -1, "i=-1 outside [1, 3] for k=5 on 3x4"),
+        ],
+    )
+    def test_bad_witness_i_is_named_in_document_labels(self, capsys, tmp_path, a, b, i, message):
+        _, out, _ = _run(capsys, "witness", "--a", str(a), "--b", str(b), "--k", "5", "--i", "2")
+        doc = json.loads(out)
+        doc["i"] = i
+        path = tmp_path / "bad-i.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "verify", "--input", str(path))
+        assert (code, out, err) == (2, "", f"wrong-terminals: {message}\n")
+
     @pytest.mark.parametrize("a, b", [(3, 4), (4, 3)])
     def test_packing_tree_may_declare_a0(self, capsys, tmp_path, a, b):
         _, out, _ = _run(capsys, "pack", "--a", str(a), "--b", str(b))
@@ -463,6 +484,40 @@ class TestOracleCommand:
     def test_bad_k_above_the_guard_names_k(self, capsys):
         code, out, err = _run(capsys, "oracle", "--a", "4", "--b", "5", "--k", "1")
         assert (code, out, err) == (1, "", "error: k=1 outside [2, 9]\n")
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ["--help"],
+        ["kappa", "--help"],
+        ["bogus"],
+        [],
+        ["kappa", "--a", "3", "--k", "2"],
+        ["kappa", "--a", "3", "--b", "4", "--k", "5"],
+        ["oracle", "--a", "3", "--b", "3", "--k", "3"],
+    )
+
+    @staticmethod
+    def _redirected(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_parser_is_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for argv in self.COMMANDS * 3:
+            _run(capsys, *argv)
+        assert _build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_reused_parser_writes_to_current_streams(self, argv):
+        # the first call builds the parser under its own redirected streams
+        _build_parser.cache_clear()
+        calls = [self._redirected(argv) for _ in range(3)]
+        assert calls[0] == calls[2]
+        _, out, err = calls[0]
+        assert out or err
 
 
 class TestTableCommand:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconn import InstanceTooLargeError, InvalidArgumentError
-from treeconn.core import BipartiteOrder, verify_family
+from treeconn import InstanceTooLargeError, InvalidArgumentError, oracle
+from treeconn.connectivity import kappa_bipartite
+from treeconn.core import BipartiteOrder, normalize, verify_family
 from treeconn.packing import target_tree_count
 from treeconn.oracle import (
     SmallGraph,
@@ -19,6 +20,7 @@ from treeconn.oracle import (
     oracle_max_tree_set,
     oracle_spanning_packing,
     _Candidate,
+    _candidate_layers,
     _candidates,
     _max_disjoint,
     _spanning_packing,
@@ -189,9 +191,75 @@ class TestKappaOracle:
                     assert oracle_kappa_k(a, b, k) == full, (a, b, k)
 
     def test_spanning_case_agrees_with_packing_oracle(self):
-        # where both guards allow the instance
+        # where both guards allow the instance; k = a + b goes through the
+        # partition too, so the exhaustive search is the independent side
         for a, b in [(1, 5), (2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 5), (4, 4)]:
-            assert oracle_kappa_k(a, b, a + b) == oracle_spanning_packing(a, b)
+            value = oracle_kappa_k(a, b, a + b)
+            assert value == oracle_spanning_packing(a, b)
+            exhaustive = oracle_max_tree_set(complete_bipartite(a, b), range(a + b)).count
+            assert value == exhaustive, (a, b)
+
+    def test_all_terminals_enumerates_nothing(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("k = a + b must not enumerate or search")
+
+        sizes = [(a, total - a) for total in range(2, 9) for a in range(1, total)]
+        expected = {
+            (a, b): oracle_max_tree_set(complete_bipartite(a, b), range(a + b)).count
+            for a, b in sizes
+        }
+        monkeypatch.setattr(oracle, "_spanning_trees", boom)
+        monkeypatch.setattr(oracle, "_max_disjoint", boom)
+        for a, b in sizes:
+            assert oracle_kappa_k(a, b, a + b) == expected[a, b], (a, b)
+        with pytest.raises(InstanceTooLargeError):  # the guard still comes first
+            oracle_kappa_k(4, 5, 9)
+
+
+def _counting_spanning_trees(monkeypatch) -> list[int]:
+    """Patch ``_spanning_trees`` to record each call's tree count."""
+    counts: list[int] = []
+    original = oracle._spanning_trees
+
+    def counted(*args):
+        trees = original(*args)
+        counts.append(len(trees))
+        return trees
+
+    monkeypatch.setattr(oracle, "_spanning_trees", counted)
+    return counts
+
+
+class TestEnumerationMemo:
+    def test_one_enumeration_per_spare_count_pair(self, monkeypatch):
+        a, b, k, i = 4, 4, 4, 2
+        graph = complete_bipartite(a, b)
+        terminals = bipartite_terminal_vertices(a, b, k, i)
+        x_spares = [v for v in range(a) if v not in terminals]
+        y_spares = [v for v in range(a, a + b) if v not in terminals]
+        # (X spares, Y spares) counts whose induced graph has enough edges
+        distinct = {
+            (sx, sy)
+            for sx in range(len(x_spares) + 1)
+            for sy in range(len(y_spares) + 1)
+            if (i + sx) * (k - i + sy) >= k + sx + sy - 1
+        }
+        assert len(distinct) == 9
+        counts = _counting_spanning_trees(monkeypatch)
+        first = [c.edges for layer in _candidate_layers(graph, terminals) for c in layer]
+        assert len(counts) == len(distinct)
+        second = [c.edges for layer in _candidate_layers(graph, terminals) for c in layer]
+        assert len(counts) == 2 * len(distinct)  # nothing survives the first call
+        assert second == first
+
+    def test_oracle_guard_round_enumerates_less(self, monkeypatch):
+        # the 49 kappa_k instances of one oracle-guard round
+        counts = _counting_spanning_trees(monkeypatch)
+        for a in range(1, 8):
+            for k in range(2, 9):
+                assert oracle_kappa_k(a, 8 - a, k) == kappa_bipartite(normalize(a, 8 - a), k)
+        assert len(counts) <= 295
+        assert sum(counts) <= 14_269
 
 
 class TestSmallGraph:
