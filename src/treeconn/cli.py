@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 invalid arguments or instance-too-large,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -245,11 +244,7 @@ def _add_sizes(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b", type=int, required=True, help="size of the second part")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and then kept for the process.
-    It holds no stream: usage, help and errors go to sys.stdout and
-    sys.stderr as they are when it prints."""
     parser = _Parser(prog="treeconn", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -371,10 +366,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Dispatch one CLI invocation and return its exit code.  The parser
-    is built on the first call and reused by every later one."""
+    """Dispatch one CLI invocation and return its exit code."""
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

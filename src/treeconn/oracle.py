@@ -309,15 +309,17 @@ def _candidate_layers(graph: SmallGraph, terminals: frozenset[int]) -> Iterator[
 
     Spare sets that induce the same local graph share one enumeration,
     kept for the layer being built: ``_spanning_trees`` is a function of
-    the vertex count, the local edges and the spares, which are always
-    the last len(vertices) - |S| local vertices, so the index tuples are
-    the same, and ``_candidates`` maps them to each set's own host edges.
+    the vertex count, the local edges and the spares.  Within a layer the
+    vertex count is fixed and the spares are always the last
+    len(vertices) - |S| local vertices, so the same local edges give the
+    same index tuples, and ``_candidates`` maps them to each set's own
+    host edges.
     On K_{a,b}, spare sets with the same numbers of X and Y spares
     induce the same local graph.
     """
     spares = [v for v in range(graph.n) if v not in terminals]
     base = sorted(terminals)
-    trees_of: dict[tuple, list[tuple[int, ...]]] = {}  # (n, local edges) -> trees
+    trees_of: dict[tuple, list[tuple[int, ...]]] = {}  # local edges -> trees
     for size in range(len(spares) + 1):
         layer: list[_Candidate] = []
         for extra_combo in combinations(spares, size):
@@ -333,14 +335,13 @@ def _candidate_layers(graph: SmallGraph, terminals: frozenset[int]) -> Iterator[
                     host_bits.append(1 << idx)
             if len(sub_edges) < len(vertices) - 1:
                 continue
-            key = (len(vertices), tuple(sub_edges))
+            key = tuple(sub_edges)
             if key not in trees_of:
                 spare_range = range(len(base), len(vertices))
                 trees_of[key] = _spanning_trees(len(vertices), sub_edges, spare_range)
             extra_mask = sum(1 << v for v in extra_combo)
             layer.extend(_candidates(trees_of[key], host_edges, host_bits, extra_mask))
-        # no later layer has this vertex count, and no local holds the
-        # trees' index tuples while the caller searches
+        # no local holds the trees' index tuples while the caller searches
         trees_of.clear()
         yield layer
 

@@ -1,9 +1,7 @@
 """Tests for the command-line interface and certificate documents."""
 
 import ast
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -15,7 +13,6 @@ import pytest
 from treeconn.cli import (
     CertificateDocument,
     DocumentTree,
-    _build_parser,
     emit_dot,
     emit_json,
     packing_document,
@@ -484,40 +481,6 @@ class TestOracleCommand:
     def test_bad_k_above_the_guard_names_k(self, capsys):
         code, out, err = _run(capsys, "oracle", "--a", "4", "--b", "5", "--k", "1")
         assert (code, out, err) == (1, "", "error: k=1 outside [2, 9]\n")
-
-
-class TestParserReuse:
-    COMMANDS = (
-        ["--help"],
-        ["kappa", "--help"],
-        ["bogus"],
-        [],
-        ["kappa", "--a", "3", "--k", "2"],
-        ["kappa", "--a", "3", "--b", "4", "--k", "5"],
-        ["oracle", "--a", "3", "--b", "3", "--k", "3"],
-    )
-
-    @staticmethod
-    def _redirected(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        return code, out.getvalue(), err.getvalue()
-
-    def test_parser_is_built_once(self, capsys):
-        _build_parser.cache_clear()
-        for argv in self.COMMANDS * 3:
-            _run(capsys, *argv)
-        assert _build_parser.cache_info().misses == 1
-
-    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-    def test_reused_parser_writes_to_current_streams(self, argv):
-        # the first call builds the parser under its own redirected streams
-        _build_parser.cache_clear()
-        calls = [self._redirected(argv) for _ in range(3)]
-        assert calls[0] == calls[2]
-        _, out, err = calls[0]
-        assert out or err
 
 
 class TestTableCommand:
