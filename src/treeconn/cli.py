@@ -214,10 +214,12 @@ def verify_document(doc: CertificateDocument) -> ValidationReport:
     and ``verify_witness_trees``).  Each tree is read in sorted order in the
     normalized a <= b labels, which its violations name, so a certificate
     and its mirror image report the same violation.  A witness's k and i
-    are range-checked first, in the document's own labels."""
+    must be present, and are range-checked first, in the document's own
+    labels."""
     order = normalize(doc.a, doc.b)
-    assert doc.kind == "packing" or (doc.k is not None and doc.i is not None)
     if doc.kind == "witness":
+        if doc.k is None or doc.i is None:
+            raise InvalidArgumentError(f"missing integer field '{'k' if doc.k is None else 'i'}'")
         try:
             check_profile(doc.a, doc.b, doc.k, doc.i)
         except InvalidTerminalSetError as exc:
@@ -245,7 +247,9 @@ def _add_sizes(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="treeconn", description=__doc__.splitlines()[0])
+    # A literal, not __doc__, which python -OO strips.
+    description = "Command-line front end: compute, construct, verify, and export certificates."
+    parser = _Parser(prog="treeconn", description=description)
     commands = parser.add_subparsers(dest="command", required=True)
 
     kappa = commands.add_parser("kappa", help="k-connectivity, or one terminal profile's value")

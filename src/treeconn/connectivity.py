@@ -22,13 +22,6 @@ from .core import (
 )
 
 
-def kappa_complete(n: int, k: int) -> int:
-    """k-connectivity of the complete graph on n vertices: n - ceil(k/2)."""
-    if not 2 <= k <= n:
-        raise InvalidArgumentError(f"k={k} outside [2, {n}]")
-    return n - (k + 1) // 2
-
-
 @dataclass(frozen=True)
 class KappaBreakdown:
     """Composition of one maximum set of internally disjoint trees.
@@ -43,14 +36,6 @@ class KappaBreakdown:
     a1_side: Side | None
     a0: int
     kappa: int
-
-    def a1_cost(self, k: int, i: int) -> int:
-        """Internal edges consumed by each single-hub tree."""
-        if self.a1_side is Side.X:
-            return i
-        if self.a1_side is Side.Y:
-            return k - i
-        return 0
 
 
 def kappa_terminal(order: BipartiteOrder, k: int, i: int) -> KappaBreakdown:

@@ -95,13 +95,6 @@ def complete_bipartite(a: int, b: int) -> SmallGraph:
     return SmallGraph(a + b, tuple((x, a + y) for x in range(a) for y in range(b)))
 
 
-def complete_graph(n: int) -> SmallGraph:
-    """K_n on vertices 0..n-1."""
-    if n < 1:
-        raise InvalidArgumentError(f"vertex count must be positive, got {n}")
-    return SmallGraph(n, tuple(combinations(range(n), 2)))
-
-
 def bipartite_terminal_vertices(a: int, b: int, k: int, i: int) -> frozenset[int]:
     """Vertices of the canonical terminal set S_i under the standard labeling."""
     return frozenset(range(i)) | frozenset(range(a, a + (k - i)))

@@ -54,18 +54,15 @@ def residue_ordering(a: int, t: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Row degrees d_1..d_a for one packing, plus derived bookkeeping.
+    """Row degrees d_1..d_a for one packing, plus their chaining anchors.
 
     ``anchors`` holds the chaining positions i_0..i_a with i_0 = 1 and
-    i_j = i_{j-1} + d_j - 1, so i_a equals b.  ``quotient`` and
-    ``remainder`` split a + b - 1 as quotient*a + remainder; exactly
-    ``remainder`` degrees equal quotient+1 and the rest equal quotient.
+    i_j = i_{j-1} + d_j - 1, so i_a equals b: the sequence carries the
+    column count of its host, and ``b`` reads it back.
     """
 
     degrees: tuple[int, ...]
     anchors: tuple[int, ...]
-    quotient: int
-    remainder: int
 
     @property
     def a(self) -> int:
@@ -96,35 +93,21 @@ def degree_sequence(a: int, b: int, t: int) -> DegreeSequence:
     anchors = [1]
     for d in degrees:
         anchors.append(anchors[-1] + d - 1)
-    return DegreeSequence(
-        degrees=tuple(degrees),
-        anchors=tuple(anchors),
-        quotient=q,
-        remainder=r,
-    )
+    return DegreeSequence(degrees=tuple(degrees), anchors=tuple(anchors))
 
 
-def window_sum(dseq: DegreeSequence, j: int, t: int) -> int:
-    """Cyclic sum d_j + d_{j+1} + ... + d_{j+t-1} (subscripts wrap mod a)."""
-    a = dseq.a
-    if not 1 <= j <= a:
-        raise InvalidArgumentError(f"window start {j} outside [1, {a}]")
-    if t < 1:
-        raise InvalidArgumentError(f"window width must be positive, got {t}")
-    return sum(dseq.degrees[(j - 1 + s) % a] for s in range(t))
+def verify_shift_capacity(dseq: DegreeSequence, t: int) -> bool:
+    """True iff every width-t window sum is at most b = ``dseq.b``.
 
-
-def verify_shift_capacity(dseq: DegreeSequence, b: int, t: int) -> bool:
-    """True iff every width-t window sum is at most b.
-
-    This is exactly the condition for the first t shifted trees to be
-    pairwise edge-disjoint: the runs assigned to x_j across those trees
-    chain into one arc of length equal to the window sum at j.
+    The window sum at j is d_j + ... + d_{j+t-1}, subscripts wrapping
+    mod a.  This is exactly the condition for the first t shifted trees
+    to be pairwise edge-disjoint: the runs assigned to x_j across those
+    trees chain into one arc of length equal to the window sum at j.
     """
     if t < 1:
         raise InvalidArgumentError(f"window width must be positive, got {t}")
     degrees = dseq.degrees
-    a = dseq.a
+    a, b = dseq.a, dseq.b
     current = sum(degrees[j % a] for j in range(t))
     for j in range(a):
         if current > b:
@@ -133,21 +116,19 @@ def verify_shift_capacity(dseq: DegreeSequence, b: int, t: int) -> bool:
     return True
 
 
-def build_tree(dseq: DegreeSequence, b: int, shift_index: int) -> Tree:
+def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
     """Tree number ``shift_index`` (1-based) of the packing for ``dseq``.
 
-    Row j takes the d_{shift_index+j-1} cyclically consecutive
-    y-positions starting at the previous row's final position; row 1
-    starts at anchor i_{shift_index-1} advanced by shift_index - 1.  The
-    result has a + b - 1 edges covering all b y-positions, hence is a
-    spanning tree.
+    The host is a-by-b with a = ``dseq.a`` and b = ``dseq.b``.  Row j
+    takes the d_{shift_index+j-1} cyclically consecutive y-positions
+    starting at the previous row's final position; row 1 starts at anchor
+    i_{shift_index-1} advanced by shift_index - 1.  The result has
+    a + b - 1 edges covering all b y-positions, hence is a spanning tree.
     """
-    a = dseq.a
+    a, b = dseq.a, dseq.b
     if shift_index < 1:
         raise InvalidArgumentError(f"shift index must be positive, got {shift_index}")
-    if dseq.b != b:
-        raise InvalidArgumentError(f"degree sequence sums to b={dseq.b}, host has b={b}")
-    if not verify_shift_capacity(dseq, b, shift_index):
+    if not verify_shift_capacity(dseq, shift_index):
         raise NotConstructibleError(
             f"window sums exceed b={b} at width {shift_index}; trees would overlap"
         )
@@ -167,9 +148,6 @@ class SpanningTreePacking:
     order: BipartiteOrder
     trees: tuple[Tree, ...]
 
-    def __len__(self) -> int:
-        return len(self.trees)
-
 
 def build_packing(order: BipartiteOrder) -> SpanningTreePacking:
     """The maximum packing: floor(ab/(a+b-1)) edge-disjoint spanning trees.
@@ -181,7 +159,7 @@ def build_packing(order: BipartiteOrder) -> SpanningTreePacking:
     a, b = order.a, order.b
     t_max = target_tree_count(a, b)
     dseq = degree_sequence(a, b, t_max)
-    if not verify_shift_capacity(dseq, b, t_max):
+    if not verify_shift_capacity(dseq, t_max):
         raise ConstructionBugError(f"capacity failed at target count {t_max} for ({a}, {b})")
-    trees = tuple(build_tree(dseq, b, l) for l in range(1, t_max + 1))
+    trees = tuple(build_tree(dseq, l) for l in range(1, t_max + 1))
     return SpanningTreePacking(order=order, trees=trees)

@@ -65,9 +65,6 @@ class SteinerWitness:
     i: int
     trees: tuple[ClassifiedTree, ...]
 
-    def __len__(self) -> int:
-        return len(self.trees)
-
 
 def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[ClassifiedTree, ...]:
     """``count`` two-hub trees, pairing spare vertices in index order.
@@ -139,10 +136,10 @@ def build_internal_trees(
         # which is what leaves every terminal q free partners for phase two.
         rows, cols = (i, m) if side is Side.X else (m, i)
         dseq = degree_sequence(rows, cols, p)
-        if not verify_shift_capacity(dseq, cols, p):
+        if not verify_shift_capacity(dseq, p):
             raise ConstructionBugError(f"internal packing capacity failed at p={p} for ({i}, {m})")
         for shift_index in range(1, p + 1):
-            packed = build_tree(dseq, cols, shift_index).edges
+            packed = build_tree(dseq, shift_index).edges
             real = packed if side is Side.X else tuple((c, r) for r, c in packed)
             used.update(real)
             trees.append(ClassifiedTree(tree=Tree(real), klass=TreeClass.A0, extras=frozenset()))

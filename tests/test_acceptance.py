@@ -202,7 +202,7 @@ def test_criterion_6_degree_sequence_properties():
                 if highest - lowest > 1:
                     failures.append((a, b, t, "unbalanced"))
             t_max = target_tree_count(a, b)
-            if not verify_shift_capacity(degree_sequence(a, b, t_max), b, t_max):
+            if not verify_shift_capacity(degree_sequence(a, b, t_max), t_max):
                 failures.append((a, b, "capacity"))
     _report(
         6,

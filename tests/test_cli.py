@@ -537,6 +537,14 @@ class TestDocumentLayer:
         )
         assert verify_document(doc).first_kind == "wrong-terminals"
 
+    def test_witness_without_profile_is_rejected(self):
+        # parse_document never builds one; the check must not be an assert,
+        # which python -O strips.
+        with pytest.raises(InvalidArgumentError, match=r"^missing integer field 'k'$"):
+            verify_document(CertificateDocument("witness", 3, 4))
+        with pytest.raises(InvalidArgumentError, match=r"^missing integer field 'i'$"):
+            verify_document(CertificateDocument("witness", 3, 4, k=5))
+
     def test_emit_dot_is_deterministic(self):
         order = normalize(3, 4)
         doc = witness_document(order, build_witness(order, 5, 1))
@@ -566,18 +574,30 @@ def test_top_level_exports_are_the_readme_library():
     assert all(hasattr(treeconn, name) for name in treeconn.__all__)
 
 
-@pytest.mark.parametrize("module", ["treeconn", "treeconn.cli"])
-def test_python_dash_m_runs_the_cli(tmp_path, module):
+@pytest.mark.parametrize(
+    "module,flags",
+    [("treeconn", ()), ("treeconn.cli", ()), ("treeconn", ("-OO",)), ("treeconn.cli", ("-OO",))],
+    ids=["treeconn", "treeconn.cli", "treeconn-OO", "treeconn.cli-OO"],
+)
+def test_python_dash_m_runs_the_cli(tmp_path, module, flags):
     import treeconn
 
     path = tmp_path / "under-full.json"
     path.write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
     src = str(Path(treeconn.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "verify", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+
+    def cli(*args, flags=flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", module, *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = cli("verify", "--input", str(path))
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("not-maximum")
+    done = cli("kappa", "--a", "3", "--b", "4", "--k", "5")
+    assert (done.returncode, done.stdout) == (0, "2\n")
+    # -OO strips docstrings; --help must not depend on them
+    assert cli("--help").stdout == cli("--help", flags=()).stdout

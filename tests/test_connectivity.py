@@ -3,30 +3,8 @@
 import pytest
 
 from treeconn import InvalidArgumentError, InvalidTerminalSetError, kappa_bipartite, normalize
-from treeconn.connectivity import kappa_complete, kappa_terminal, min_terminal_index
+from treeconn.connectivity import kappa_terminal, min_terminal_index
 from treeconn.core import Side, terminal_range
-from treeconn.oracle import complete_graph, oracle_max_tree_set
-
-
-class TestKappaComplete:
-    def test_pairwise_connectivity(self):
-        assert kappa_complete(4, 2) == 3
-
-    def test_three_terminals_on_six(self):
-        assert kappa_complete(6, 3) == 4
-        oracle = oracle_max_tree_set(complete_graph(6), frozenset({0, 1, 2}))
-        assert oracle.count == 4
-
-    def test_spanning_case_on_five(self):
-        assert kappa_complete(5, 5) == 2
-        oracle = oracle_max_tree_set(complete_graph(5), frozenset(range(5)))
-        assert oracle.count == 2
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            kappa_complete(4, 1)
-        with pytest.raises(InvalidArgumentError):
-            kappa_complete(4, 5)
 
 
 class TestKappaTerminal:
@@ -154,7 +132,9 @@ class TestStructuralInequalities:
                         if i == 0 or i == k:
                             continue
                         bd = kappa_terminal(order, k, i)
-                        used = bd.a0 * (k - 1) + bd.a1 * bd.a1_cost(k, i)
+                        # each single-hub tree uses one internal edge per hub-side terminal
+                        cost = i if bd.a1_side is Side.X else k - i
+                        used = bd.a0 * (k - 1) + bd.a1 * cost
                         assert 0 <= used <= i * (k - i)
 
     def test_mirrored_profile_is_never_smaller(self):

@@ -5,7 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treeconn import InvalidArgumentError, InvalidTerminalSetError, normalize
-from treeconn.core import BipartiteOrder, Side, Tree, check_profile, verify_family, xv, yv
+from treeconn.core import (
+    BipartiteOrder,
+    Side,
+    Tree,
+    ValidationReport,
+    Violation,
+    check_profile,
+    verify_family,
+    xv,
+    yv,
+)
 
 
 class TestNormalize:
@@ -134,3 +144,11 @@ class TestCheckProfile:
                         else:
                             with pytest.raises(InvalidTerminalSetError):
                                 check_profile(a, b, k, i)
+
+
+class TestValidationReport:
+    def test_truth_is_ok(self):
+        # `assert report` and `if report:` must fail on a failed report;
+        # a dataclass without __bool__ would be truthy either way.
+        assert ValidationReport()
+        assert not ValidationReport((Violation("cycle", "edge (x1, y1) closes a cycle"),))

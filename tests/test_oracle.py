@@ -15,7 +15,6 @@ from treeconn.oracle import (
     TreeSetResult,
     bipartite_terminal_vertices,
     complete_bipartite,
-    complete_graph,
     oracle_kappa_k,
     oracle_max_tree_set,
     oracle_spanning_packing,
@@ -27,6 +26,18 @@ from treeconn.oracle import (
     _spanning_trees,
     _terminal_tree_candidates,
 )
+
+
+def complete_graph(n: int) -> SmallGraph:
+    """K_n on vertices 0..n-1."""
+    return SmallGraph(n, tuple(combinations(range(n), 2)))
+
+
+def kappa_complete(n: int, k: int) -> int:
+    """k-connectivity of the complete graph on n vertices: n - ceil(k/2)."""
+    if not 2 <= k <= n:
+        raise InvalidArgumentError(f"k={k} outside [2, {n}]")
+    return n - (k + 1) // 2
 
 
 def _assert_valid_tree_set(graph: SmallGraph, terminals: frozenset[int], trees) -> None:
@@ -275,6 +286,27 @@ class TestSmallGraph:
 
     def test_complete_graph_edge_count(self):
         assert len(complete_graph(6).edges) == 15
+
+
+class TestKappaComplete:
+    def test_pairwise_connectivity(self):
+        assert kappa_complete(4, 2) == 3
+
+    def test_three_terminals_on_six(self):
+        assert kappa_complete(6, 3) == 4
+        oracle = oracle_max_tree_set(complete_graph(6), frozenset({0, 1, 2}))
+        assert oracle.count == 4
+
+    def test_spanning_case_on_five(self):
+        assert kappa_complete(5, 5) == 2
+        oracle = oracle_max_tree_set(complete_graph(5), frozenset(range(5)))
+        assert oracle.count == 2
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(InvalidArgumentError):
+            kappa_complete(4, 1)
+        with pytest.raises(InvalidArgumentError):
+            kappa_complete(4, 5)
 
 
 # --- Exactness of the pruned enumeration and search -----------------------

@@ -13,7 +13,6 @@ from treeconn.packing import (
     residue_ordering,
     target_tree_count,
     verify_shift_capacity,
-    window_sum,
 )
 
 
@@ -61,7 +60,10 @@ class TestDegreeSequence:
         dseq = degree_sequence(3, 4, 2)
         assert dseq.degrees == (2, 2, 2)
         assert dseq.anchors == (1, 2, 3, 4)
-        assert (dseq.quotient, dseq.remainder) == (2, 0)
+        # a + b - 1 = 2*3 + 0: no degree is raised to q + 1
+        q, r = divmod(3 + 4 - 1, 3)
+        assert (q, r) == (2, 0)
+        assert dseq.degrees == (q,) * 3
 
     def test_single_heavy_degree(self):
         assert degree_sequence(4, 6, 2).degrees == (3, 2, 2, 2)
@@ -72,39 +74,25 @@ class TestDegreeSequence:
             for a in range(1, b + 1):
                 for t in range(1, a + 1):
                     dseq = degree_sequence(a, b, t)
+                    q, r = divmod(a + b - 1, a)
                     assert sum(dseq.degrees) == a + b - 1
-                    assert all(d in (dseq.quotient, dseq.quotient + 1) for d in dseq.degrees)
-                    assert sum(1 for d in dseq.degrees if d == dseq.quotient + 1) == dseq.remainder
+                    assert all(d in (q, q + 1) for d in dseq.degrees)
+                    assert sum(1 for d in dseq.degrees if d == q + 1) == r
                     assert dseq.anchors[0] == 1
                     assert dseq.anchors[-1] == b
                     for j, d in enumerate(dseq.degrees, start=1):
                         assert dseq.anchors[j] - dseq.anchors[j - 1] == d - 1
 
 
-class TestWindowSum:
-    def test_plain(self):
-        assert window_sum(degree_sequence(3, 4, 1), 1, 2) == 4
-
-    def test_wraps_around(self):
-        assert window_sum(degree_sequence(4, 6, 2), 4, 2) == 5
-        assert window_sum(degree_sequence(5, 7, 3), 4, 3) == 7
-
-    @given(st.integers(1, 30), st.integers(1, 60), st.integers(1, 30))
-    def test_full_rotation_totals(self, a, b, t):
-        dseq = degree_sequence(a, b, t)
-        total = sum(window_sum(dseq, j, t) for j in range(1, a + 1))
-        assert total == t * (a + b - 1)
-
-
 class TestShiftCapacity:
     def test_tight_fit(self):
-        assert verify_shift_capacity(degree_sequence(3, 4, 2), 4, 2)
+        assert verify_shift_capacity(degree_sequence(3, 4, 2), 2)
 
     def test_violation(self):
-        assert not verify_shift_capacity(degree_sequence(3, 4, 3), 4, 3)
+        assert not verify_shift_capacity(degree_sequence(3, 4, 3), 3)
 
     def test_heavy_degree_fits(self):
-        assert verify_shift_capacity(degree_sequence(5, 7, 3), 7, 3)
+        assert verify_shift_capacity(degree_sequence(5, 7, 3), 3)
 
 
 def _vertices(tree) -> set:
@@ -114,28 +102,28 @@ def _vertices(tree) -> set:
 
 class TestBuildTree:
     def test_first_tree_runs_left_to_right(self):
-        tree = build_tree(degree_sequence(3, 4, 1), 4, 1)
+        tree = build_tree(degree_sequence(3, 4, 1), 1)
         assert tree.edges == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
 
     def test_second_tree_is_shifted(self):
-        tree = build_tree(degree_sequence(3, 4, 2), 4, 2)
+        tree = build_tree(degree_sequence(3, 4, 2), 2)
         assert set(tree.edges) == {(1, 3), (1, 4), (2, 4), (2, 1), (3, 1), (3, 2)}
 
     def test_third_tree_on_five_by_six(self):
-        tree = build_tree(degree_sequence(5, 6, 3), 6, 3)
+        tree = build_tree(degree_sequence(5, 6, 3), 3)
         assert set(tree.edges) == {
             (1, 5), (1, 6), (2, 6), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4),
         }
 
     def test_rejects_capacity_violation(self):
         with pytest.raises(NotConstructibleError):
-            build_tree(degree_sequence(3, 4, 3), 4, 3)
+            build_tree(degree_sequence(3, 4, 3), 3)
 
     def test_transposed_host_still_packs(self):
         # rows may outnumber columns; needed when packing internal graphs
         dseq = degree_sequence(4, 3, 2)
-        first = build_tree(dseq, 3, 1)
-        second = build_tree(dseq, 3, 2)
+        first = build_tree(dseq, 1)
+        second = build_tree(dseq, 2)
         assert len(first.edges) == len(second.edges) == 6
         assert not set(first.edges) & set(second.edges)
         assert len(_vertices(first)) == len(_vertices(second)) == 7
@@ -202,4 +190,5 @@ class TestPerRowContiguity:
                     for run in runs:
                         assert not combined & run
                         combined |= run
-                    assert len(combined) == window_sum(dseq, x, t_max)
+                    window = sum(dseq.degrees[(x - 1 + s) % a] for s in range(t_max))
+                    assert len(combined) == window

@@ -229,7 +229,7 @@ class TestWitnessSweep:
                         assert len(hub_sides) <= 1
                         expected_internal = breakdown.a0 * (k - 1)
                         if 0 < i < k:
-                            expected_internal += breakdown.a1 * breakdown.a1_cost(k, i)
+                            expected_internal += breakdown.a1 * (i if breakdown.a1_side is Side.X else m)
                             assert internal_used == expected_internal
                             assert internal_used <= i * m
                         # unused spare vertices end up on at most one side
