@@ -7,11 +7,16 @@ caller's orientation, so their x/y labels survive the round trip.
 
 Exit codes: 0 success, 1 invalid arguments or instance-too-large,
 2 verification failure (verify subcommand only).
+
+``pack``, ``witness`` and ``verify`` pause the cyclic garbage collector:
+they make only acyclic tuples, lists and dicts, which reference counting
+frees.  ``oracle`` keeps it on, as its recursive closures are cycles.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -29,6 +34,7 @@ from .core import (
     Violation,
     check_profile,
     normalize,
+    transposed,
     verify_family,
 )
 from .oracle import oracle_kappa_k, oracle_spanning_packing
@@ -91,9 +97,7 @@ def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDoc
         b=doc.a,
         k=doc.k,
         i=_flip(order, doc.k, doc.i) if doc.kind == "witness" else doc.i,
-        trees=tuple(
-            DocumentTree(tuple((y, x) for x, y in t.edges), t.tree_class) for t in doc.trees
-        ),
+        trees=tuple(DocumentTree(transposed(t.edges), t.tree_class) for t in doc.trees),
     )
 
 
@@ -135,7 +139,8 @@ def emit_json(doc: CertificateDocument) -> str:
         entry["edges"] = t.edges
         trees.append(entry)
     payload["trees"] = trees
-    return json.dumps(payload, separators=(",", ":"))
+    # Built here from ints, strings and tuples of ints: it cannot hold a cycle.
+    return json.dumps(payload, separators=(",", ":"), check_circular=False)
 
 
 def emit_dot(doc: CertificateDocument) -> str:
@@ -376,11 +381,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    paused = gc.isenabled() and args.command in ("pack", "witness", "verify")
+    if paused:
+        gc.disable()
     try:
         return args.func(args)
     except (InvalidArgumentError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if paused:
+            gc.enable()
 
 
 def main() -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -109,6 +110,12 @@ class Tree:
     """
 
     edges: tuple[tuple[int, int], ...]
+
+
+def transposed(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Every edge (x, y) as (y, x), in the same order: the edge list in
+    the labeling that exchanges the two parts."""
+    return tuple(zip(map(itemgetter(1), edges), map(itemgetter(0), edges)))
 
 
 def check_profile(a: int, b: int, k: int, i: int) -> None:

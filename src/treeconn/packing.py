@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 from .core import (
     BipartiteOrder,
@@ -106,14 +108,10 @@ def verify_shift_capacity(dseq: DegreeSequence, t: int) -> bool:
     """
     if t < 1:
         raise InvalidArgumentError(f"window width must be positive, got {t}")
-    degrees = dseq.degrees
-    a, b = dseq.a, dseq.b
-    current = sum(degrees[j % a] for j in range(t))
-    for j in range(a):
-        if current > b:
-            return False
-        current += degrees[(j + t) % a] - degrees[j]
-    return True
+    # A window of t = laps*a + rest wraps laps times, then sums rest more.
+    laps, rest = divmod(t, dseq.a)
+    prefix = list(accumulate(dseq.degrees + dseq.degrees[:rest], initial=0))
+    return laps * prefix[dseq.a] + max(map(sub, prefix[rest:], prefix[: dseq.a])) <= dseq.b
 
 
 def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
@@ -124,6 +122,12 @@ def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
     starting at the previous row's final position; row 1 starts at anchor
     i_{shift_index-1} advanced by shift_index - 1.  The result has
     a + b - 1 edges covering all b y-positions, hence is a spanning tree.
+
+    In closed form, with s = (shift_index - 1) mod a: the rows are 1..a,
+    each repeated by the rotated degrees d_{s+1}..d_a, d_1..d_s, and edge
+    e (0-based) of row x_e lies at y = (first + e - x_e) mod b + 1, where
+    first = i_s + shift_index - 1.  Since e + 1 - x_e runs from 0 up to
+    b - 1, the mod is an index into 1..b rotated to start at y(0).
     """
     a, b = dseq.a, dseq.b
     if shift_index < 1:
@@ -132,13 +136,12 @@ def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
         raise NotConstructibleError(
             f"window sums exceed b={b} at width {shift_index}; trees would overlap"
         )
-    cursor = dseq.anchors[(shift_index - 1) % a] + (shift_index - 1)
-    edges: list[tuple[int, int]] = []
-    for row in range(1, a + 1):
-        deg = dseq.degrees[(shift_index + row - 2) % a]
-        edges.extend((row, (cursor + s - 1) % b + 1) for s in range(deg))
-        cursor += deg - 1
-    return Tree(tuple(edges))
+    s = (shift_index - 1) % a
+    rows = list(chain.from_iterable(map(repeat, range(1, a + 1), dseq.degrees[s:] + dseq.degrees[:s])))
+    start = (dseq.anchors[s] + shift_index - 2) % b
+    ys = tuple(range(1, b + 1))
+    cols = map((ys[start:] + ys[:start]).__getitem__, map(sub, range(1, len(rows) + 1), rows))
+    return Tree(tuple(zip(rows, cols)))
 
 
 @dataclass(frozen=True)

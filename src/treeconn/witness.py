@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .connectivity import kappa_terminal
@@ -32,6 +33,7 @@ from .core import (
     ValidationReport,
     Vertex,
     Violation,
+    transposed,
     verify_family,
     xv,
     yv,
@@ -81,14 +83,8 @@ def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[C
     out = []
     for c in range(1, count + 1):
         u, v = i + c, m + c
-        edges = (
-            [(u, t) for t in range(1, m + 1)]
-            + [(s, v) for s in range(1, i + 1)]
-            + [(u, v)]
-        )
-        out.append(
-            ClassifiedTree(tree=Tree(tuple(edges)), klass=TreeClass.A2, extras=frozenset({xv(u), yv(v)}))
-        )
+        edges = tuple(chain(zip(repeat(u), range(1, m + 1)), zip(range(1, i + 1), repeat(v)), ((u, v),)))
+        out.append(ClassifiedTree(tree=Tree(edges), klass=TreeClass.A2, extras=frozenset({xv(u), yv(v)})))
     return tuple(out)
 
 
@@ -140,7 +136,7 @@ def build_internal_trees(
             raise ConstructionBugError(f"internal packing capacity failed at p={p} for ({i}, {m})")
         for shift_index in range(1, p + 1):
             packed = build_tree(dseq, shift_index).edges
-            real = packed if side is Side.X else tuple((c, r) for r, c in packed)
+            real = packed if side is Side.X else transposed(packed)
             used.update(real)
             trees.append(ClassifiedTree(tree=Tree(real), klass=TreeClass.A0, extras=frozenset()))
         if len(used) != p * (k - 1):
@@ -150,20 +146,20 @@ def build_internal_trees(
     # that the terminal-only trees left unused; hub tree h takes the h-th.
     free = []
     for s in range(1, cost + 1):
-        at_s = ((s, t) for t in range(1, m + 1)) if side is Side.X else ((x, s) for x in range(1, i + 1))
-        free.append(list(islice((e for e in at_s if e not in used), q)))
+        at_s = zip(repeat(s), range(1, m + 1)) if side is Side.X else zip(range(1, i + 1), repeat(s))
+        free.append(list(islice(filterfalse(used.__contains__, at_s), q)))
         if len(free[-1]) < q:
             raise ConstructionBugError(f"terminal {s} on side {side.value} has under {q} free internal edges")
 
     for h in range(q):
         if side is Side.X:
             hub = xv(i + spare_offset + h + 1)
-            edges = [(hub.index, t) for t in range(1, m + 1)]
+            star = zip(repeat(hub.index), range(1, m + 1))
         else:
             hub = yv(m + spare_offset + h + 1)
-            edges = [(s, hub.index) for s in range(1, i + 1)]
-        edges += [lowest[h] for lowest in free]
-        trees.append(ClassifiedTree(tree=Tree(tuple(edges)), klass=TreeClass.A1, extras=frozenset({hub})))
+            star = zip(range(1, i + 1), repeat(hub.index))
+        edges = tuple(chain(star, map(itemgetter(h), free)))
+        trees.append(ClassifiedTree(tree=Tree(edges), klass=TreeClass.A1, extras=frozenset({hub})))
 
     return tuple(trees)
 

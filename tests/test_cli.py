@@ -1,6 +1,7 @@
 """Tests for the command-line interface and certificate documents."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from treeconn import cli
 from treeconn.cli import (
     CertificateDocument,
     DocumentTree,
@@ -152,6 +154,29 @@ def test_certificates_match_the_golden_digest(capsys):
                 count += 1
     assert count == 1127
     assert digest.hexdigest() == "99f3781a532aceb4e35874da702c33c3edfd7e7c"
+
+
+def test_large_certificates_match_their_digest(capsys):
+    """``pack`` on every host with sides in {40, 97, 120, 200}, both orders,
+    and ``witness`` on each at k in {2, (a+b)/2, 0.9(a+b), a+b}, once with
+    the default profile and once with i near k/2, hash to one pinned SHA-1:
+    the sizes the benchmark runs stay byte-identical too."""
+    digest = hashlib.sha1()
+    count = 0
+    sizes = (40, 97, 120, 200)
+    for a in sizes:
+        for b in sizes:
+            n = a + b
+            commands = [("pack", "--a", str(a), "--b", str(b))]
+            for k in sorted({2, n // 2, (9 * n) // 10, n}):
+                witness = ("witness", "--a", str(a), "--b", str(b), "--k", str(k))
+                commands += [witness, witness + ("--i", str(min(a, max(k - b, k // 2))))]
+            for argv in commands:
+                code, out, _ = _run(capsys, *argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+                count += 1
+    assert count == 144
+    assert digest.hexdigest() == "eae81b492589f4d06f0b9c9bca4301b4563c49e6"
 
 
 class TestWitnessCommand:
@@ -481,6 +506,69 @@ class TestOracleCommand:
     def test_bad_k_above_the_guard_names_k(self, capsys):
         code, out, err = _run(capsys, "oracle", "--a", "4", "--b", "5", "--k", "1")
         assert (code, out, err) == (1, "", "error: k=1 outside [2, 9]\n")
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The collector state a caller sets before ``run``, restored afterwards."""
+    enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorState:
+    """``pack``, ``witness`` and ``verify`` pause the cyclic collector; every
+    command leaves it as the caller set it, however it ends."""
+
+    def test_every_exit_restores_it(self, capsys, tmp_path, caller_gc):
+        _, out, _ = _run(capsys, "pack", "--a", "3", "--b", "4")
+        (tmp_path / "pack.json").write_text(out)
+        (tmp_path / "short.json").write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
+        (tmp_path / "broken.json").write_text("{")
+        for argv, expected in [
+            (("pack", "--a", "5", "--b", "3"), 0),
+            (("witness", "--a", "5", "--b", "3", "--k", "4"), 0),
+            (("verify", "--input", str(tmp_path / "pack.json")), 0),
+            (("pack", "--a", "0", "--b", "3"), 1),
+            (("witness", "--a", "5", "--b", "3", "--k", "9"), 1),
+            (("verify", "--input", str(tmp_path / "absent.json")), 1),
+            (("verify", "--input", str(tmp_path / "broken.json")), 1),
+            (("verify", "--input", str(tmp_path / "short.json")), 2),
+            (("pack", "--a", "x", "--b", "3"), 1),
+        ]:
+            code, _, _ = _run(capsys, *argv)
+            assert code == expected, argv
+            assert gc.isenabled() is caller_gc, argv
+
+    def test_an_escaping_exception_restores_it(self, monkeypatch, caller_gc):
+        def fail(order):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_packing", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["pack", "--a", "3", "--b", "4"])
+        assert gc.isenabled() is caller_gc
+
+    def test_oracle_leaves_it_alone(self, capsys, monkeypatch, caller_gc):
+        # The oracle's recursive closures are cycles that only the collector frees.
+        seen = []
+
+        def stub(a, b, k):
+            seen.append(gc.isenabled())
+            return 7
+
+        monkeypatch.setattr(cli, "oracle_kappa_k", stub)
+        assert _run(capsys, "oracle", "--a", "3", "--b", "3", "--k", "3")[:2] == (0, "7\n")
+        assert seen == [caller_gc]
+        assert gc.isenabled() is caller_gc
 
 
 class TestTableCommand:

@@ -94,10 +94,34 @@ class TestShiftCapacity:
     def test_heavy_degree_fits(self):
         assert verify_shift_capacity(degree_sequence(5, 7, 3), 3)
 
+    def test_matches_every_window_sum(self):
+        # Widths past a wrap the degree sequence more than once.
+        for a in range(1, 21):
+            for b in range(1, 26):
+                dseq = degree_sequence(a, b, target_tree_count(a, b))
+                for t in range(1, 2 * a + 2):
+                    widest = max(sum(dseq.degrees[(j + s) % a] for s in range(t)) for j in range(a))
+                    assert verify_shift_capacity(dseq, t) == (widest <= b)
+
 
 def _vertices(tree) -> set:
     """The endpoints of a tree's edges, tagged by side."""
     return {("x", x) for x, _ in tree.edges} | {("y", y) for _, y in tree.edges}
+
+
+def _reference_edges(dseq, shift_index) -> tuple:
+    """``build_tree``'s definition, edge by edge: row j takes the
+    d_{shift_index+j-1} cyclically consecutive y-positions starting at the
+    previous row's final position, and row 1 starts at anchor
+    i_{shift_index-1} advanced by shift_index - 1."""
+    a, b = dseq.a, dseq.b
+    cursor = dseq.anchors[(shift_index - 1) % a] + (shift_index - 1)
+    edges = []
+    for row in range(1, a + 1):
+        deg = dseq.degrees[(shift_index + row - 2) % a]
+        edges.extend((row, (cursor + s - 1) % b + 1) for s in range(deg))
+        cursor += deg - 1
+    return tuple(edges)
 
 
 class TestBuildTree:
@@ -118,6 +142,21 @@ class TestBuildTree:
     def test_rejects_capacity_violation(self):
         with pytest.raises(NotConstructibleError):
             build_tree(degree_sequence(3, 4, 3), 3)
+
+    def test_matches_the_reference_rule_up_to_capacity(self):
+        # Both orders of the sizes: witnesses pack internal graphs with a > b,
+        # at any tree count up to the target.
+        for a in range(1, 31):
+            for b in range(1, 41):
+                dseqs = {degree_sequence(a, b, t): t for t in range(1, target_tree_count(a, b) + 1)}
+                for dseq, t in dseqs.items():
+                    shift = 1
+                    while verify_shift_capacity(dseq, shift):
+                        assert build_tree(dseq, shift).edges == _reference_edges(dseq, shift)
+                        shift += 1
+                    assert shift > t
+                    with pytest.raises(NotConstructibleError):
+                        build_tree(dseq, shift)
 
     def test_transposed_host_still_packs(self):
         # rows may outnumber columns; needed when packing internal graphs
