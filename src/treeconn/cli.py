@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 invalid arguments or instance-too-large,
 ``pack``, ``witness`` and ``verify`` pause the cyclic garbage collector:
 they make only acyclic tuples, lists and dicts, which reference counting
 frees.  ``oracle`` keeps it on, as its recursive closures are cycles.
+
+Each process runs one command, so what this module imports is paid by
+every command.  ``oracle`` imports its module when it runs: it is the
+package's largest, and no other command uses it.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .connectivity import kappa_bipartite, kappa_terminal, min_terminal_index
 from .core import (
@@ -37,7 +39,6 @@ from .core import (
     transposed,
     verify_family,
 )
-from .oracle import oracle_kappa_k, oracle_spanning_packing
 from .packing import SpanningTreePacking, build_packing, target_tree_count
 from .witness import SteinerWitness, build_witness, verify_witness_trees
 
@@ -47,16 +48,14 @@ DOT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class DocumentTree:
+class DocumentTree(NamedTuple):
     """One tree of a certificate document, as an edge list."""
 
     edges: tuple[tuple[int, int], ...]
     tree_class: str | None = None
 
 
-@dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(NamedTuple):
     """Serializable certificate: a packing or a witness, caller-oriented."""
 
     kind: str
@@ -91,11 +90,9 @@ def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDoc
     """
     if not order.swapped:
         return doc
-    return CertificateDocument(
-        kind=doc.kind,
+    return doc._replace(
         a=doc.b,
         b=doc.a,
-        k=doc.k,
         i=_flip(order, doc.k, doc.i) if doc.kind == "witness" else doc.i,
         trees=tuple(DocumentTree(transposed(t.edges), t.tree_class) for t in doc.trees),
     )
@@ -104,8 +101,8 @@ def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDoc
 def _caller_document(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
     """A normalized certificate in the caller's labels, each tree's edges sorted."""
     doc = _oriented(order, doc)
-    return replace(
-        doc, trees=tuple(DocumentTree(tuple(sorted(t.edges)), t.tree_class) for t in doc.trees)
+    return doc._replace(
+        trees=tuple(DocumentTree(tuple(sorted(t.edges)), t.tree_class) for t in doc.trees)
     )
 
 
@@ -347,7 +344,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        with open(args.input, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
@@ -360,6 +358,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import oracle_kappa_k, oracle_spanning_packing
+
     if args.k is None:
         print(oracle_spanning_packing(args.a, args.b))
     else:

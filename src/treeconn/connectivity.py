@@ -10,7 +10,7 @@ terminals) that a0 and a1 trees consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BipartiteOrder,
@@ -22,8 +22,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class KappaBreakdown:
+class KappaBreakdown(NamedTuple):
     """Composition of one maximum set of internally disjoint trees.
 
     ``a2`` trees use a spare vertex on each side, ``a1`` trees use one

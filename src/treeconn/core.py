@@ -5,14 +5,18 @@ and Y (size b), so it is never materialized: an edge is just a pair
 (x-index, y-index) and membership is a range check.  All indices are
 1-based on the public surface, so emitted certificates read like the
 usual x_1..x_a / y_1..y_b labels.
+
+The package's records, here and in the other modules, are immutable
+NamedTuples: they compare, order and hash as the tuples of their fields,
+and a field cannot be reassigned.  Every command builds the classes at
+start-up, and a NamedTuple class costs a fraction of a dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class TreeconnError(Exception):
@@ -46,8 +50,7 @@ class Side(str, Enum):
     Y = "Y"
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex of the host graph, addressed as (side, 1-based index)."""
 
     side: Side
@@ -67,23 +70,28 @@ def yv(index: int) -> Vertex:
     return Vertex(Side.Y, index)
 
 
-@dataclass(frozen=True)
-class BipartiteOrder:
+class _BipartiteOrder(NamedTuple):
+    a: int
+    b: int
+    swapped: bool = False
+
+
+class BipartiteOrder(_BipartiteOrder):
     """Normalized part sizes of the host graph, with a <= b.
 
     ``swapped`` records that the caller named the larger part first, so
     emitters must swap side labels back when printing certificates.
     """
 
-    a: int
-    b: int
-    swapped: bool = False
+    # A NamedTuple body cannot define __new__, so the check lives in this subclass.
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise InvalidArgumentError(f"part sizes must be positive, got ({self.a}, {self.b})")
-        if self.a > self.b:
-            raise InvalidArgumentError(f"expected a <= b, got ({self.a}, {self.b}); use normalize()")
+    def __new__(cls, a: int, b: int, swapped: bool = False) -> BipartiteOrder:
+        if a < 1 or b < 1:
+            raise InvalidArgumentError(f"part sizes must be positive, got ({a}, {b})")
+        if a > b:
+            raise InvalidArgumentError(f"expected a <= b, got ({a}, {b}); use normalize()")
+        return super().__new__(cls, a, b, swapped)
 
 
 def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
@@ -99,8 +107,7 @@ def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
     return BipartiteOrder(b_raw, a_raw, swapped=True)
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     """An edge list over (x-index, y-index) pairs.
 
     The type itself stores whatever it is given; ``verify_family`` judges
@@ -139,8 +146,7 @@ def terminal_range(order: BipartiteOrder, k: int) -> range:
     return range(max(0, k - order.b), min(order.a, k) + 1)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One named defect found by a verifier."""
 
     kind: str
@@ -150,11 +156,10 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a structural check; an empty violation list means valid."""
 
-    violations: tuple[Violation, ...] = field(default=())
+    violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -13,9 +13,9 @@ so those window sums differ by at most one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
+from typing import NamedTuple
 
 from .core import (
     BipartiteOrder,
@@ -54,8 +54,7 @@ def residue_ordering(a: int, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(NamedTuple):
     """Row degrees d_1..d_a for one packing, plus their chaining anchors.
 
     ``anchors`` holds the chaining positions i_0..i_a with i_0 = 1 and
@@ -144,8 +143,7 @@ def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
     return Tree(tuple(zip(rows, cols)))
 
 
-@dataclass(frozen=True)
-class SpanningTreePacking:
+class SpanningTreePacking(NamedTuple):
     """A set of pairwise edge-disjoint spanning trees of the host graph."""
 
     order: BipartiteOrder

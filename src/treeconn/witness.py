@@ -16,11 +16,10 @@ side through that terminal's lowest-indexed internal edge left free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .connectivity import kappa_terminal
 from .core import (
@@ -49,8 +48,7 @@ class TreeClass(str, Enum):
     A2 = "A2"
 
 
-@dataclass(frozen=True)
-class ClassifiedTree:
+class ClassifiedTree(NamedTuple):
     """A tree of the witness together with its shape and hub vertices."""
 
     tree: Tree
@@ -58,8 +56,7 @@ class ClassifiedTree:
     extras: frozenset[Vertex]
 
 
-@dataclass(frozen=True)
-class SteinerWitness:
+class SteinerWitness(NamedTuple):
     """A set of internally disjoint trees connecting the terminal set S_i
     with k terminals, i of them in X (see ``check_profile``)."""
 

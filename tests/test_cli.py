@@ -565,7 +565,7 @@ class TestCollectorState:
             seen.append(gc.isenabled())
             return 7
 
-        monkeypatch.setattr(cli, "oracle_kappa_k", stub)
+        monkeypatch.setattr("treeconn.oracle.oracle_kappa_k", stub)
         assert _run(capsys, "oracle", "--a", "3", "--b", "3", "--k", "3")[:2] == (0, "7\n")
         assert seen == [caller_gc]
         assert gc.isenabled() is caller_gc
@@ -687,5 +687,22 @@ def test_python_dash_m_runs_the_cli(tmp_path, module, flags):
     assert done.stderr.startswith("not-maximum")
     done = cli("kappa", "--a", "3", "--b", "4", "--k", "5")
     assert (done.returncode, done.stdout) == (0, "2\n")
+    done = cli("oracle", "--a", "3", "--b", "4", "--k", "5")
+    assert (done.returncode, done.stdout) == (0, "2\n")
     # -OO strips docstrings; --help must not depend on them
     assert cli("--help").stdout == cli("--help", flags=()).stdout
+
+
+def test_importing_the_cli_leaves_out_what_few_commands_use():
+    """Every command pays for what ``treeconn.cli`` imports: the oracle
+    loads only for ``oracle``, and neither ``dataclasses`` nor ``pathlib``
+    loads at all."""
+    import treeconn
+
+    src = str(Path(treeconn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, treeconn.cli; print(*sorted({'treeconn.oracle', 'dataclasses', 'pathlib'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")

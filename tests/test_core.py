@@ -1,21 +1,26 @@
-"""Tests for the bipartite base types and the per-tree checks of ``verify_family``."""
+"""Tests for the bipartite base types, the package's records and the
+per-tree checks of ``verify_family``."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeconn import InvalidArgumentError, InvalidTerminalSetError, normalize
+from treeconn import InvalidArgumentError, InvalidTerminalSetError, build_packing, build_witness, normalize
+from treeconn.cli import packing_document
+from treeconn.connectivity import kappa_terminal
 from treeconn.core import (
     BipartiteOrder,
     Side,
     Tree,
     ValidationReport,
+    Vertex,
     Violation,
     check_profile,
     verify_family,
     xv,
     yv,
 )
+from treeconn.packing import degree_sequence
 
 
 class TestNormalize:
@@ -152,3 +157,49 @@ class TestValidationReport:
         # a dataclass without __bool__ would be truthy either way.
         assert ValidationReport()
         assert not ValidationReport((Violation("cycle", "edge (x1, y1) closes a cycle"),))
+
+
+def _records():
+    """One instance of each record type in the package, with one of its fields."""
+    order = normalize(4, 3)
+    packing = build_packing(order)
+    witness = build_witness(order, 5, 2)
+    document = packing_document(packing)
+    return [
+        (xv(1), "index"),
+        (order, "swapped"),
+        (packing.trees[0], "edges"),
+        (Violation("cycle", "edge (x1, y1) closes a cycle"), "kind"),
+        (ValidationReport(), "violations"),
+        (kappa_terminal(order, 5, 2), "kappa"),
+        (degree_sequence(3, 4, 2), "degrees"),
+        (packing, "order"),
+        (witness.trees[0], "klass"),
+        (witness, "trees"),
+        (document.trees[0], "tree_class"),
+        (document, "kind"),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record,name", _records(), ids=lambda value: value if isinstance(value, str) else type(value).__name__
+    )
+    def test_fields_are_read_only(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    def test_vertices_and_orders_are_keys(self):
+        assert {xv(1): "x", yv(1): "y"}[Vertex(Side.X, 1)] == "x"
+        assert xv(1) in frozenset({Vertex(Side.X, 1)})
+        assert {normalize(4, 3): 1}[BipartiteOrder(3, 4, swapped=True)] == 1
+        assert len(frozenset({normalize(4, 3), BipartiteOrder(3, 4, swapped=True), normalize(3, 4)})) == 2
+
+    def test_vertices_sort_by_side_then_index(self):
+        assert sorted([yv(1), xv(2), xv(1)]) == [xv(1), xv(2), yv(1)]
+
+    def test_repr_names_the_fields(self):
+        assert repr(normalize(4, 3)) == "BipartiteOrder(a=3, b=4, swapped=True)"
+        assert repr(xv(1)) == "Vertex(side=<Side.X: 'X'>, index=1)"
+        assert repr(Violation("cycle", "x")) == "Violation(kind='cycle', detail='x')"
+        assert repr(ValidationReport()) == "ValidationReport(violations=())"
