@@ -23,6 +23,7 @@ import argparse
 import gc
 import json
 import sys
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 from .connectivity import kappa_bipartite, kappa_terminal, min_terminal_index
@@ -39,7 +40,7 @@ from .core import (
     transposed,
     verify_family,
 )
-from .packing import SpanningTreePacking, build_packing, target_tree_count
+from .packing import build_packing, target_tree_count
 from .witness import SteinerWitness, build_witness, verify_witness_trees
 
 DOT_PALETTE = (
@@ -48,22 +49,21 @@ DOT_PALETTE = (
 )
 
 
-class DocumentTree(NamedTuple):
-    """One tree of a certificate document, as an edge list."""
-
-    edges: tuple[tuple[int, int], ...]
-    tree_class: str | None = None
-
-
 class CertificateDocument(NamedTuple):
-    """Serializable certificate: a packing or a witness, caller-oriented."""
+    """Serializable certificate: a packing or a witness, caller-oriented.
+
+    ``trees`` holds edge tuples and ``classes`` the class each tree declares
+    ("A0", "A1", "A2", or None, as in a packing), as ``verify_family`` takes
+    them; a tree without an entry declares nothing.
+    """
 
     kind: str
     a: int
     b: int
     k: int | None = None
     i: int | None = None
-    trees: tuple[DocumentTree, ...] = ()
+    trees: tuple[tuple[tuple[int, int], ...], ...] = ()
+    classes: tuple[str | None, ...] = ()
 
 
 def _flip(order: BipartiteOrder, k: int, i: int) -> int:
@@ -80,44 +80,34 @@ def _flip_side(order: BipartiteOrder, side: Side | None) -> Side | None:
 
 
 def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
-    """``doc`` in the other labeling: when the caller named the larger part
-    first, a and b swap, every edge [x, y] becomes [y, x] and a witness's i
-    becomes k - i.  Self-inverse.
+    """``doc`` in the other labeling, with each tree's edges sorted.
 
-    Each tree keeps its edge order; callers sort afterwards, in the labels
-    they need: the document builders in the caller's, ``verify_document``
-    in the normalized ones.
+    When the caller named the larger part first, a and b swap, every edge
+    [x, y] becomes [y, x] and a witness's i becomes k - i; applied twice,
+    it gives back ``doc`` with its trees sorted.  This is the one place
+    that swaps labels or sorts trees: the document builders call it to
+    reach the caller's labels, ``verify_document`` the normalized ones.
     """
-    if not order.swapped:
-        return doc
-    return doc._replace(
-        a=doc.b,
-        b=doc.a,
-        i=_flip(order, doc.k, doc.i) if doc.kind == "witness" else doc.i,
-        trees=tuple(DocumentTree(transposed(t.edges), t.tree_class) for t in doc.trees),
-    )
+    trees = doc.trees
+    if order.swapped:
+        trees = map(transposed, trees)
+        i = _flip(order, doc.k, doc.i) if doc.kind == "witness" else doc.i
+        doc = doc._replace(a=doc.b, b=doc.a, i=i)
+    return doc._replace(trees=tuple(tuple(sorted(edges)) for edges in trees))
 
 
-def _caller_document(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
-    """A normalized certificate in the caller's labels, each tree's edges sorted."""
-    doc = _oriented(order, doc)
-    return doc._replace(
-        trees=tuple(DocumentTree(tuple(sorted(t.edges)), t.tree_class) for t in doc.trees)
-    )
-
-
-def packing_document(packing: SpanningTreePacking) -> CertificateDocument:
-    """Certificate for a spanning-tree packing, in the caller's orientation."""
-    order = packing.order
-    trees = tuple(DocumentTree(t.edges) for t in packing.trees)
-    return _caller_document(order, CertificateDocument("packing", order.a, order.b, trees=trees))
+def packing_document(order: BipartiteOrder, trees: Sequence[Sequence[tuple[int, int]]]) -> CertificateDocument:
+    """Certificate for the packing ``trees`` of ``order``, in the caller's orientation."""
+    doc = CertificateDocument("packing", order.a, order.b, trees=trees, classes=(None,) * len(trees))
+    return _oriented(order, doc)
 
 
 def witness_document(order: BipartiteOrder, witness: SteinerWitness) -> CertificateDocument:
     """Certificate for a witness, in the caller's orientation."""
-    trees = tuple(DocumentTree(ct.tree.edges, ct.klass.value) for ct in witness.trees)
-    k, i = witness.k, witness.i
-    return _caller_document(order, CertificateDocument("witness", order.a, order.b, k, i, trees))
+    trees = tuple(ct.edges for ct in witness.trees)
+    classes = tuple(ct.klass for ct in witness.trees)
+    doc = CertificateDocument("witness", order.a, order.b, witness.k, witness.i, trees, classes)
+    return _oriented(order, doc)
 
 
 def emit_json(doc: CertificateDocument) -> str:
@@ -128,14 +118,10 @@ def emit_json(doc: CertificateDocument) -> str:
         payload["k"] = doc.k
     if doc.i is not None:
         payload["i"] = doc.i
-    trees = []
-    for t in doc.trees:
-        entry: dict = {}
-        if t.tree_class is not None:
-            entry["class"] = t.tree_class
-        entry["edges"] = t.edges
-        trees.append(entry)
-    payload["trees"] = trees
+    payload["trees"] = [
+        {"edges": edges} if klass is None else {"class": klass, "edges": edges}
+        for edges, klass in zip(doc.trees, chain(doc.classes, repeat(None)))
+    ]
     # Built here from ints, strings and tuples of ints: it cannot hold a cycle.
     return json.dumps(payload, separators=(",", ":"), check_circular=False)
 
@@ -156,7 +142,7 @@ def emit_dot(doc: CertificateDocument) -> str:
         lines.append(f"  {name} [shape=box];" if name in terminal_names else f"  {name};")
     for index, tree in enumerate(doc.trees):
         color = DOT_PALETTE[index % len(DOT_PALETTE)]
-        for x, y in tree.edges:
+        for x, y in tree:
             lines.append(f'  x{x} -- y{y} [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -193,7 +179,7 @@ def parse_document(text: str) -> CertificateDocument:
     raw_trees = data.get("trees")
     if not isinstance(raw_trees, list):
         raise InvalidArgumentError("field 'trees' must be a list")
-    trees = []
+    trees, classes = [], []
     for position, raw in enumerate(raw_trees):
         if not isinstance(raw, dict) or not isinstance(raw.get("edges"), list):
             raise InvalidArgumentError(f"tree {position} must be an object with an 'edges' list")
@@ -206,14 +192,16 @@ def parse_document(text: str) -> CertificateDocument:
             if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is int and type(edge[1]) is int):
                 raise InvalidArgumentError(f"tree {position} has a malformed edge {edge!r}")
             edges.append((edge[0], edge[1]))
-        trees.append(DocumentTree(edges=tuple(edges), tree_class=tree_class))
-    return CertificateDocument(kind=kind, a=a, b=b, k=k, i=i, trees=tuple(trees))
+        trees.append(tuple(edges))
+        classes.append(tree_class)
+    return CertificateDocument(kind, a, b, k, i, tuple(trees), tuple(classes))
 
 
 def verify_document(doc: CertificateDocument) -> ValidationReport:
     """Re-validate a certificate document: sound trees, declared classes that
     match, and as many trees as the closed form allows (see ``verify_family``
-    and ``verify_witness_trees``).  Each tree is read in sorted order in the
+    and ``verify_witness_trees``, which take ``trees`` and ``classes`` as
+    they are).  ``_oriented`` puts each tree in sorted order in the
     normalized a <= b labels, which its violations name, so a certificate
     and its mirror image report the same violation.  A witness's k and i
     must be present, and are range-checked first, in the document's own
@@ -227,12 +215,10 @@ def verify_document(doc: CertificateDocument) -> ValidationReport:
         except InvalidTerminalSetError as exc:
             return ValidationReport((Violation("wrong-terminals", str(exc)),))
     doc = _oriented(order, doc)
-    trees = [sorted(t.edges) for t in doc.trees]
-    classes = [t.tree_class for t in doc.trees]
     if doc.kind == "packing":
         target = target_tree_count(order.a, order.b)
-        return verify_family(order, trees, order.a, order.b, target, classes=classes)
-    return verify_witness_trees(order, doc.k, doc.i, trees, classes=classes)
+        return verify_family(order, doc.trees, order.a, order.b, target, classes=doc.classes)
+    return verify_witness_trees(order, doc.k, doc.i, doc.trees, classes=doc.classes)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,7 +313,8 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    doc = packing_document(build_packing(normalize(args.a, args.b)))
+    order = normalize(args.a, args.b)
+    doc = packing_document(order, build_packing(order))
     emit = emit_json(doc) + "\n" if args.format == "json" else emit_dot(doc)
     sys.stdout.write(emit)
     return 0

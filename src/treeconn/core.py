@@ -4,7 +4,9 @@ The host graph is always a complete bipartite graph with parts X (size a)
 and Y (size b), so it is never materialized: an edge is just a pair
 (x-index, y-index) and membership is a range check.  All indices are
 1-based on the public surface, so emitted certificates read like the
-usual x_1..x_a / y_1..y_b labels.
+usual x_1..x_a / y_1..y_b labels.  A tree is the tuple of its edges.
+Nothing checks one when it is made: ``verify_family`` diagnoses a tree
+read from a corrupted certificate rather than refusing it on the way in.
 
 The package's records, here and in the other modules, are immutable
 NamedTuples: they compare, order and hash as the tuples of their fields,
@@ -105,18 +107,6 @@ def normalize(a_raw: int, b_raw: int) -> BipartiteOrder:
     if a_raw <= b_raw:
         return BipartiteOrder(a_raw, b_raw, swapped=False)
     return BipartiteOrder(b_raw, a_raw, swapped=True)
-
-
-class Tree(NamedTuple):
-    """An edge list over (x-index, y-index) pairs.
-
-    The type itself stores whatever it is given; ``verify_family`` judges
-    whether the edges are in range, acyclic, connected and cover what they
-    must, so that invalid data (e.g. parsed from a corrupted certificate
-    file) can be diagnosed rather than rejected at construction time.
-    """
-
-    edges: tuple[tuple[int, int], ...]
 
 
 def transposed(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -19,10 +19,8 @@ from typing import NamedTuple
 
 from .core import (
     BipartiteOrder,
-    ConstructionBugError,
     InvalidArgumentError,
     NotConstructibleError,
-    Tree,
 )
 
 
@@ -113,7 +111,7 @@ def verify_shift_capacity(dseq: DegreeSequence, t: int) -> bool:
     return laps * prefix[dseq.a] + max(map(sub, prefix[rest:], prefix[: dseq.a])) <= dseq.b
 
 
-def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
+def build_tree(dseq: DegreeSequence, shift_index: int) -> tuple[tuple[int, int], ...]:
     """Tree number ``shift_index`` (1-based) of the packing for ``dseq``.
 
     The host is a-by-b with a = ``dseq.a`` and b = ``dseq.b``.  Row j
@@ -140,27 +138,18 @@ def build_tree(dseq: DegreeSequence, shift_index: int) -> Tree:
     start = (dseq.anchors[s] + shift_index - 2) % b
     ys = tuple(range(1, b + 1))
     cols = map((ys[start:] + ys[:start]).__getitem__, map(sub, range(1, len(rows) + 1), rows))
-    return Tree(tuple(zip(rows, cols)))
+    return tuple(zip(rows, cols))
 
 
-class SpanningTreePacking(NamedTuple):
-    """A set of pairwise edge-disjoint spanning trees of the host graph."""
-
-    order: BipartiteOrder
-    trees: tuple[Tree, ...]
-
-
-def build_packing(order: BipartiteOrder) -> SpanningTreePacking:
-    """The maximum packing: floor(ab/(a+b-1)) edge-disjoint spanning trees.
+def build_packing(order: BipartiteOrder) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The maximum packing: floor(ab/(a+b-1)) edge-disjoint spanning trees,
+    each an edge tuple.
 
     The capacity check cannot fail at the target count (the window sums
-    are balanced, so each is at most ceil(t'(a+b-1)/a) <= b); if it ever
-    does, that is a bug in the construction, not bad input.
+    are balanced, so each is at most ceil(t'(a+b-1)/a) <= b).  ``build_tree``
+    makes it for each tree, and would raise ``NotConstructibleError``; a
+    failure there is a bug in the construction, not bad input.
     """
-    a, b = order.a, order.b
-    t_max = target_tree_count(a, b)
-    dseq = degree_sequence(a, b, t_max)
-    if not verify_shift_capacity(dseq, t_max):
-        raise ConstructionBugError(f"capacity failed at target count {t_max} for ({a}, {b})")
-    trees = tuple(build_tree(dseq, l) for l in range(1, t_max + 1))
-    return SpanningTreePacking(order=order, trees=trees)
+    t_max = target_tree_count(order.a, order.b)
+    dseq = degree_sequence(order.a, order.b, t_max)
+    return tuple(build_tree(dseq, l) for l in range(1, t_max + 1))

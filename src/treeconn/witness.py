@@ -16,7 +16,6 @@ side through that terminal's lowest-indexed internal edge left free.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -28,7 +27,6 @@ from .core import (
     InvalidArgumentError,
     InvalidTerminalSetError,
     Side,
-    Tree,
     ValidationReport,
     Vertex,
     Violation,
@@ -37,22 +35,18 @@ from .core import (
     xv,
     yv,
 )
-from .packing import build_tree, degree_sequence, verify_shift_capacity
-
-
-class TreeClass(str, Enum):
-    """How many non-terminal hubs a standard-structure tree uses."""
-
-    A0 = "A0"
-    A1 = "A1"
-    A2 = "A2"
+from .packing import build_tree, degree_sequence
 
 
 class ClassifiedTree(NamedTuple):
-    """A tree of the witness together with its shape and hub vertices."""
+    """A tree of the witness: its edge tuple, its class and its hubs.
 
-    tree: Tree
-    klass: TreeClass
+    The class is "A0", "A1" or "A2", the number of non-terminal hubs the
+    tree uses, spelled as certificates spell it; ``extras`` holds those hubs.
+    """
+
+    edges: tuple[tuple[int, int], ...]
+    klass: str
     extras: frozenset[Vertex]
 
 
@@ -81,7 +75,7 @@ def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[C
     for c in range(1, count + 1):
         u, v = i + c, m + c
         edges = tuple(chain(zip(repeat(u), range(1, m + 1)), zip(range(1, i + 1), repeat(v)), ((u, v),)))
-        out.append(ClassifiedTree(tree=Tree(edges), klass=TreeClass.A2, extras=frozenset({xv(u), yv(v)})))
+        out.append(ClassifiedTree(edges, "A2", frozenset({xv(u), yv(v)})))
     return tuple(out)
 
 
@@ -129,13 +123,11 @@ def build_internal_trees(
         # which is what leaves every terminal q free partners for phase two.
         rows, cols = (i, m) if side is Side.X else (m, i)
         dseq = degree_sequence(rows, cols, p)
-        if not verify_shift_capacity(dseq, p):
-            raise ConstructionBugError(f"internal packing capacity failed at p={p} for ({i}, {m})")
         for shift_index in range(1, p + 1):
-            packed = build_tree(dseq, shift_index).edges
+            packed = build_tree(dseq, shift_index)
             real = packed if side is Side.X else transposed(packed)
             used.update(real)
-            trees.append(ClassifiedTree(tree=Tree(real), klass=TreeClass.A0, extras=frozenset()))
+            trees.append(ClassifiedTree(real, "A0", frozenset()))
         if len(used) != p * (k - 1):
             raise ConstructionBugError(f"the {p} terminal-only trees share internal edges")
 
@@ -156,7 +148,7 @@ def build_internal_trees(
             hub = yv(m + spare_offset + h + 1)
             star = zip(range(1, i + 1), repeat(hub.index))
         edges = tuple(chain(star, map(itemgetter(h), free)))
-        trees.append(ClassifiedTree(tree=Tree(edges), klass=TreeClass.A1, extras=frozenset({hub})))
+        trees.append(ClassifiedTree(edges, "A1", frozenset({hub})))
 
     return tuple(trees)
 
@@ -215,7 +207,7 @@ def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> Validation
         order,
         witness.k,
         witness.i,
-        [ct.tree.edges for ct in witness.trees],
+        [ct.edges for ct in witness.trees],
         [ct.extras for ct in witness.trees],
-        [ct.klass.value for ct in witness.trees],
+        [ct.klass for ct in witness.trees],
     )

@@ -43,16 +43,16 @@ def test_criterion_1_packing_construction_soundness():
         for a in range(1, b + 1):
             order = normalize(a, b)
             packing = build_packing(order)
-            if len(packing.trees) != (a * b) // (a + b - 1):
-                failures.append((a, b, "count", len(packing.trees)))
+            if len(packing) != (a * b) // (a + b - 1):
+                failures.append((a, b, "count", len(packing)))
             union = set()
             total_edges = 0
-            for tree in packing.trees:
-                report = verify_family(order, [tree.edges], order.a, order.b, 0)
+            for tree in packing:
+                report = verify_family(order, [tree], order.a, order.b, 0)
                 if not report.ok:
                     failures.append((a, b, report.first_kind))
-                union |= set(tree.edges)
-                total_edges += len(tree.edges)
+                union |= set(tree)
+                total_edges += len(tree)
             if len(union) != total_edges:
                 failures.append((a, b, "shared edges"))
     _report(

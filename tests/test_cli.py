@@ -14,7 +14,6 @@ import pytest
 from treeconn import cli
 from treeconn.cli import (
     CertificateDocument,
-    DocumentTree,
     emit_dot,
     emit_json,
     packing_document,
@@ -584,7 +583,7 @@ class TestTableCommand:
 class TestDocumentLayer:
     def test_packing_document_round_trips(self):
         order = normalize(5, 3)
-        doc = packing_document(build_packing(order))
+        doc = packing_document(order, build_packing(order))
         assert (doc.a, doc.b) == (5, 3)
         parsed = parse_document(emit_json(doc))
         assert parsed == doc
@@ -596,6 +595,29 @@ class TestDocumentLayer:
         parsed = parse_document(emit_json(doc))
         assert parsed == doc
         assert verify_document(parsed).ok
+
+    def test_orienting_a_swapped_document_sorts_its_trees(self):
+        order = normalize(5, 3)
+        trees = build_packing(order)
+        doc = CertificateDocument("packing", order.a, order.b, trees=trees, classes=(None,) * len(trees))
+        caller = cli._oriented(order, doc)
+        assert (caller.a, caller.b) == (5, 3)
+        assert all(list(tree) == sorted(tree) for tree in caller.trees)
+        assert sorted(caller.trees) == sorted(tuple(sorted((y, x) for x, y in tree)) for tree in trees)
+        twice = cli._oriented(order, caller)
+        assert twice == doc._replace(trees=tuple(tuple(sorted(tree)) for tree in trees))
+
+    def test_orienting_a_swapped_witness_flips_its_profile(self):
+        order = normalize(6, 4)
+        witness = build_witness(order, 5, 2)
+        doc = CertificateDocument("witness", order.a, order.b, 5, 2,
+                                  tuple(ct.edges for ct in witness.trees),
+                                  tuple(ct.klass for ct in witness.trees))
+        caller = cli._oriented(order, doc)
+        assert (caller.a, caller.b, caller.k, caller.i) == (6, 4, 5, 3)
+        assert caller.classes == doc.classes
+        assert all(list(tree) == sorted(tree) for tree in caller.trees)
+        assert cli._oriented(order, caller) == doc._replace(trees=tuple(tuple(sorted(t)) for t in doc.trees))
 
     def test_rejects_malformed_documents(self):
         for text in (
@@ -621,7 +643,7 @@ class TestDocumentLayer:
     def test_witness_profile_errors_are_reported(self):
         doc = CertificateDocument(
             kind="witness", a=2, b=2, k=3, i=3,
-            trees=(DocumentTree(edges=((1, 1),)),),
+            trees=(((1, 1),),),
         )
         assert verify_document(doc).first_kind == "wrong-terminals"
 

@@ -11,7 +11,6 @@ from treeconn.connectivity import kappa_terminal
 from treeconn.core import (
     BipartiteOrder,
     Side,
-    Tree,
     ValidationReport,
     Vertex,
     Violation,
@@ -69,49 +68,49 @@ def spanning_tree_instances(draw):
         edge = (v.index, pick.index) if v.side is Side.X else (pick.index, v.index)
         edges.append(edge)
         placed[v.side].append(v)
-    return order, Tree(tuple(edges))
+    return order, tuple(edges)
 
 
 def _check_tree(order, tree, x_terminals=0, y_terminals=0):
     """``verify_family`` on one tree, with x_1..x_{x_terminals} and
     y_1..y_{y_terminals} required and no count to reach."""
-    return verify_family(order, [tree.edges], x_terminals, y_terminals, 0)
+    return verify_family(order, [tree], x_terminals, y_terminals, 0)
 
 
 class TestValidateTree:
     def test_path_is_valid(self):
         order = BipartiteOrder(2, 2)
-        tree = Tree(((1, 1), (1, 2), (2, 2)))
+        tree = ((1, 1), (1, 2), (2, 2))
         report = _check_tree(order, tree, 2, 2)
         assert report.ok
 
     def test_four_cycle(self):
         order = BipartiteOrder(2, 2)
-        tree = Tree(((1, 1), (2, 1), (1, 2), (2, 2)))
+        tree = ((1, 1), (2, 1), (1, 2), (2, 2))
         assert _check_tree(order, tree).first_kind == "cycle"
 
     def test_missing_terminal(self):
         order = BipartiteOrder(2, 2)
-        tree = Tree(((1, 1),))
+        tree = ((1, 1),)
         report = _check_tree(order, tree, 2, 1)
         assert report.first_kind == "missing-terminal"
 
     def test_out_of_range(self):
         order = BipartiteOrder(2, 2)
-        assert _check_tree(order, Tree(((1, 3),))).first_kind == "out-of-range"
-        assert _check_tree(order, Tree(((3, 1),))).first_kind == "out-of-range"
+        assert _check_tree(order, ((1, 3),)).first_kind == "out-of-range"
+        assert _check_tree(order, ((3, 1),)).first_kind == "out-of-range"
 
     def test_duplicate_edge_counts_as_cycle(self):
         order = BipartiteOrder(2, 2)
-        assert _check_tree(order, Tree(((1, 1), (1, 1)))).first_kind == "cycle"
+        assert _check_tree(order, ((1, 1), (1, 1))).first_kind == "cycle"
 
     def test_disconnected(self):
         order = BipartiteOrder(2, 2)
-        assert _check_tree(order, Tree(((1, 1), (2, 2)))).first_kind == "disconnected"
+        assert _check_tree(order, ((1, 1), (2, 2))).first_kind == "disconnected"
 
     def test_empty_tree_misses_terminals(self):
         order = BipartiteOrder(2, 2)
-        assert _check_tree(order, Tree(()), 1, 0).first_kind == "missing-terminal"
+        assert _check_tree(order, (), 1, 0).first_kind == "missing-terminal"
 
     @given(spanning_tree_instances())
     def test_random_spanning_tree_validates(self, instance):
@@ -121,7 +120,7 @@ class TestValidateTree:
     @given(spanning_tree_instances())
     def test_random_tree_with_duplicated_edge_fails(self, instance):
         order, tree = instance
-        doubled = Tree(tree.edges + (tree.edges[0],))
+        doubled = tree + (tree[0],)
         assert _check_tree(order, doubled, order.a, order.b).first_kind == "cycle"
 
 
@@ -164,20 +163,18 @@ def _records():
     order = normalize(4, 3)
     packing = build_packing(order)
     witness = build_witness(order, 5, 2)
-    document = packing_document(packing)
+    document = packing_document(order, packing)
     return [
         (xv(1), "index"),
         (order, "swapped"),
-        (packing.trees[0], "edges"),
         (Violation("cycle", "edge (x1, y1) closes a cycle"), "kind"),
         (ValidationReport(), "violations"),
         (kappa_terminal(order, 5, 2), "kappa"),
         (degree_sequence(3, 4, 2), "degrees"),
-        (packing, "order"),
         (witness.trees[0], "klass"),
         (witness, "trees"),
-        (document.trees[0], "tree_class"),
         (document, "kind"),
+        (document, "classes"),
     ]
 
 

@@ -106,7 +106,7 @@ class TestShiftCapacity:
 
 def _vertices(tree) -> set:
     """The endpoints of a tree's edges, tagged by side."""
-    return {("x", x) for x, _ in tree.edges} | {("y", y) for _, y in tree.edges}
+    return {("x", x) for x, _ in tree} | {("y", y) for _, y in tree}
 
 
 def _reference_edges(dseq, shift_index) -> tuple:
@@ -127,15 +127,15 @@ def _reference_edges(dseq, shift_index) -> tuple:
 class TestBuildTree:
     def test_first_tree_runs_left_to_right(self):
         tree = build_tree(degree_sequence(3, 4, 1), 1)
-        assert tree.edges == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
+        assert tree == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
 
     def test_second_tree_is_shifted(self):
         tree = build_tree(degree_sequence(3, 4, 2), 2)
-        assert set(tree.edges) == {(1, 3), (1, 4), (2, 4), (2, 1), (3, 1), (3, 2)}
+        assert set(tree) == {(1, 3), (1, 4), (2, 4), (2, 1), (3, 1), (3, 2)}
 
     def test_third_tree_on_five_by_six(self):
         tree = build_tree(degree_sequence(5, 6, 3), 3)
-        assert set(tree.edges) == {
+        assert set(tree) == {
             (1, 5), (1, 6), (2, 6), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4),
         }
 
@@ -152,7 +152,7 @@ class TestBuildTree:
                 for dseq, t in dseqs.items():
                     shift = 1
                     while verify_shift_capacity(dseq, shift):
-                        assert build_tree(dseq, shift).edges == _reference_edges(dseq, shift)
+                        assert build_tree(dseq, shift) == _reference_edges(dseq, shift)
                         shift += 1
                     assert shift > t
                     with pytest.raises(NotConstructibleError):
@@ -163,28 +163,28 @@ class TestBuildTree:
         dseq = degree_sequence(4, 3, 2)
         first = build_tree(dseq, 1)
         second = build_tree(dseq, 2)
-        assert len(first.edges) == len(second.edges) == 6
-        assert not set(first.edges) & set(second.edges)
+        assert len(first) == len(second) == 6
+        assert not set(first) & set(second)
         assert len(_vertices(first)) == len(_vertices(second)) == 7
 
 
 class TestBuildPacking:
     def test_two_by_two_single_tree(self):
         packing = build_packing(normalize(2, 2))
-        assert len(packing.trees) == 1
+        assert len(packing) == 1
 
     def test_three_by_four(self):
         packing = build_packing(normalize(3, 4))
-        assert len(packing.trees) == 2
-        assert sum(len(t.edges) for t in packing.trees) == 12
-        assert not set(packing.trees[0].edges) & set(packing.trees[1].edges)
+        assert len(packing) == 2
+        assert sum(len(t) for t in packing) == 12
+        assert not set(packing[0]) & set(packing[1])
 
     def test_five_by_six_uses_every_edge(self):
         packing = build_packing(normalize(5, 6))
-        assert len(packing.trees) == 3
+        assert len(packing) == 3
         used = set()
-        for tree in packing.trees:
-            used |= set(tree.edges)
+        for tree in packing:
+            used |= set(tree)
         assert len(used) == 30
 
     def test_sound_over_small_range(self):
@@ -192,17 +192,26 @@ class TestBuildPacking:
             for a in range(1, b + 1):
                 order = normalize(a, b)
                 packing = build_packing(order)
-                assert len(packing.trees) == target_tree_count(a, b)
+                assert len(packing) == target_tree_count(a, b)
                 used = set()
-                for tree in packing.trees:
-                    assert verify_family(order, [tree.edges], order.a, order.b, 0).ok
-                    assert not used & set(tree.edges)
-                    used |= set(tree.edges)
+                for tree in packing:
+                    assert verify_family(order, [tree], order.a, order.b, 0).ok
+                    assert not used & set(tree)
+                    used |= set(tree)
+
+    def test_is_a_tuple_of_edge_tuples(self):
+        # A tree is its edge tuple from the builder to the emitted JSON.
+        packing = build_packing(normalize(4, 7))
+        assert type(packing) is tuple and len(packing) == 2
+        for tree in packing:
+            assert type(tree) is tuple
+            assert all(type(edge) is tuple and len(edge) == 2 for edge in tree)
+            assert all(type(end) is int for edge in tree for end in edge)
 
     def test_matches_oracle_on_tiny_hosts(self):
         for b in range(1, 5):
             for a in range(1, b + 1):
-                assert len(build_packing(normalize(a, b)).trees) == oracle_spanning_packing(a, b)
+                assert len(build_packing(normalize(a, b))) == oracle_spanning_packing(a, b)
 
 
 def _is_cyclic_arc(positions: set[int], b: int) -> bool:
@@ -221,7 +230,7 @@ class TestPerRowContiguity:
                 packing = build_packing(normalize(a, b))
                 for x in range(1, a + 1):
                     runs = [
-                        {y for (row, y) in tree.edges if row == x} for tree in packing.trees
+                        {y for (row, y) in tree if row == x} for tree in packing
                     ]
                     for run in runs:
                         assert _is_cyclic_arc(run, b)

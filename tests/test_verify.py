@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeconn import build_packing, build_witness, normalize
-from treeconn.cli import CertificateDocument, DocumentTree, run, verify_document
+from treeconn.cli import CertificateDocument, run, verify_document
 from treeconn.connectivity import kappa_terminal
 from treeconn.core import Side, Vertex, xv, yv
 from treeconn.packing import target_tree_count
@@ -191,13 +191,13 @@ def families(draw):
     order = normalize(a, b)
     if draw(st.booleans()):
         k = i = None
-        trees = [list(t.edges) for t in build_packing(order).trees]
+        trees = [list(t) for t in build_packing(order)]
         hubs = [frozenset()] * len(trees)
     else:
         k = draw(st.integers(2, total))
         i = draw(st.integers(max(0, k - b), min(a, k)))
         witness = build_witness(order, k, i)
-        trees = [list(ct.tree.edges) for ct in witness.trees]
+        trees = [list(ct.edges) for ct in witness.trees]
         hubs = [ct.extras for ct in witness.trees]
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         _mutate(draw, mutation, a, b, trees, hubs)
@@ -212,7 +212,7 @@ def _document(order, k, i, trees, swap: bool) -> CertificateDocument:
         trees = [[(y, x) for x, y in edges] for edges in trees]
         a, b, i = b, a, (None if k is None else k - i)
     return CertificateDocument("packing" if k is None else "witness", a, b, k, i,
-                               tuple(DocumentTree(edges=tuple(edges)) for edges in trees))
+                               tuple(tuple(edges) for edges in trees))
 
 
 def _agrees(report, expected: tuple) -> None:
@@ -242,9 +242,8 @@ class TestSmallestClashingPair:
     def test_later_pair_does_not_mask_earlier_one(self):
         # Trees 1 and 2 clash before tree 3 is read, but (0, 3) is the
         # smaller pair, as a pairwise scan would report.
-        first, second = (t.edges for t in build_packing(normalize(3, 4)).trees)
-        doc = CertificateDocument("packing", 3, 4, trees=tuple(
-            DocumentTree(edges=edges) for edges in (first, second, second, first)))
+        first, second = build_packing(normalize(3, 4))
+        doc = CertificateDocument("packing", 3, 4, trees=(first, second, second, first))
         x, y = min(first)
         assert str(verify_document(doc).violations[0]) == (
             f"edge-overlap: trees 0 and 3 share edge (x{x}, y{y})")

@@ -11,13 +11,12 @@ from treeconn import (
     verify_witness,
 )
 from treeconn.connectivity import kappa_terminal
-from treeconn.core import Side, Tree, terminal_range, xv, yv
+from treeconn.core import Side, terminal_range, xv, yv
 from treeconn.oracle import bipartite_terminal_vertices, complete_bipartite, oracle_max_tree_set
 import treeconn.witness as witness_module
 from treeconn.witness import (
     ClassifiedTree,
     SteinerWitness,
-    TreeClass,
     build_a2_trees,
     build_internal_trees,
 )
@@ -33,9 +32,9 @@ class TestTwoHubTrees:
         order = normalize(2, 3)
         trees = build_a2_trees(order, 3, 1, 1)
         assert len(trees) == 1
-        assert trees[0].klass is TreeClass.A2
+        assert trees[0].klass == "A2"
         assert trees[0].extras == frozenset({xv(2), yv(3)})
-        assert set(trees[0].tree.edges) == {(2, 1), (2, 2), (1, 3), (2, 3)}
+        assert set(trees[0].edges) == {(2, 1), (2, 2), (1, 3), (2, 3)}
 
     def test_zero_count(self):
         order = normalize(2, 3)
@@ -44,7 +43,7 @@ class TestTwoHubTrees:
     def test_edge_count_is_k_plus_one(self):
         order = normalize(3, 4)
         trees = build_a2_trees(order, 5, 2, 1)
-        assert len(trees[0].tree.edges) == 6
+        assert len(trees[0].edges) == 6
 
     def test_rejects_excess_demand(self):
         order = normalize(2, 3)
@@ -57,14 +56,14 @@ class TestInternalTrees:
         order = normalize(2, 3)
         trees = build_internal_trees(order, 3, 1, p=1, q=0, side=Side.X)
         assert len(trees) == 1
-        assert trees[0].klass is TreeClass.A0
-        assert set(trees[0].tree.edges) == {(1, 1), (1, 2)}
+        assert trees[0].klass == "A0"
+        assert set(trees[0].edges) == {(1, 1), (1, 2)}
 
     def test_terminal_only_tree_spans_terminals(self):
         order = normalize(3, 4)
         trees = build_internal_trees(order, 5, 2, p=1, q=0, side=Side.X)
-        assert len(trees[0].tree.edges) == 4
-        edges = trees[0].tree.edges
+        assert len(trees[0].edges) == 4
+        edges = trees[0].edges
         assert {xv(x) for x, _ in edges} | {yv(y) for _, y in edges} == _terminals(5, 2)
 
     def test_empty_request(self):
@@ -86,11 +85,11 @@ class TestInternalTrees:
         # No same-side terminal to attach, so each hub tree is a star.
         order = normalize(3, 4)
         trees = build_internal_trees(order, 4, 0, p=0, q=3, side=Side.X)
-        assert [ct.tree.edges for ct in trees] == [((c, 1), (c, 2), (c, 3), (c, 4)) for c in (1, 2, 3)]
+        assert [ct.edges for ct in trees] == [((c, 1), (c, 2), (c, 3), (c, 4)) for c in (1, 2, 3)]
         assert [ct.extras for ct in trees] == [frozenset({xv(c)}) for c in (1, 2, 3)]
-        assert all(ct.klass is TreeClass.A1 for ct in trees)
+        assert all(ct.klass == "A1" for ct in trees)
         trees = build_internal_trees(order, 3, 3, p=0, q=4, side=Side.Y)
-        assert [ct.tree.edges for ct in trees] == [((1, c), (2, c), (3, c)) for c in (1, 2, 3, 4)]
+        assert [ct.edges for ct in trees] == [((1, c), (2, c), (3, c)) for c in (1, 2, 3, 4)]
         assert [ct.extras for ct in trees] == [frozenset({yv(c)}) for c in (1, 2, 3, 4)]
         # Y hubs would each need an internal edge per Y terminal: none exist.
         with pytest.raises(InvalidArgumentError):
@@ -100,17 +99,17 @@ class TestInternalTrees:
         order = normalize(3, 4)
         # S_1 with k=5: hubs on the X side, each attaching x1 by one internal edge
         trees = build_internal_trees(order, 5, 1, p=0, q=2, side=Side.X)
-        assert [t.klass for t in trees] == [TreeClass.A1, TreeClass.A1]
+        assert [t.klass for t in trees] == ["A1", "A1"]
         assert trees[0].extras == frozenset({xv(2)})
         assert trees[1].extras == frozenset({xv(3)})
-        assert (1, 1) in trees[0].tree.edges
-        assert (1, 2) in trees[1].tree.edges
+        assert (1, 1) in trees[0].edges
+        assert (1, 2) in trees[1].edges
 
     def test_overlapping_terminal_only_trees_are_a_bug(self, monkeypatch):
         # K_{4,4} internal graph: room for two disjoint spanning trees, but
         # a broken packer that returns one tree twice must not get through.
         order = normalize(4, 4)
-        first = build_internal_trees(order, 8, 4, p=1, q=0, side=Side.X)[0].tree
+        first = build_internal_trees(order, 8, 4, p=1, q=0, side=Side.X)[0].edges
         monkeypatch.setattr(witness_module, "build_tree", lambda *args: first)
         with pytest.raises(ConstructionBugError, match="share internal edges"):
             build_internal_trees(order, 8, 4, p=2, q=0, side=Side.X)
@@ -119,7 +118,7 @@ class TestInternalTrees:
         # S_2 with k=5 on 3x4: one A0 tree and one X hub fit the budget of
         # 6 internal edges, but a lopsided A0 tree leaves x1 no partner.
         order = normalize(3, 4)
-        lopsided = Tree(((1, 1), (1, 2), (1, 3), (2, 1)))
+        lopsided = ((1, 1), (1, 2), (1, 3), (2, 1))
         monkeypatch.setattr(witness_module, "build_tree", lambda *args: lopsided)
         with pytest.raises(ConstructionBugError, match="terminal 1 on side X"):
             build_internal_trees(order, 5, 2, p=1, q=1, side=Side.X)
@@ -129,13 +128,13 @@ class TestBuildWitness:
     def test_spanning_profile_reduces_to_packing(self):
         order = normalize(3, 3)
         witness = build_witness(order, 6, 3)
-        assert [ct.klass for ct in witness.trees] == [TreeClass.A0]
+        assert [ct.klass for ct in witness.trees] == ["A0"]
 
     def test_one_sided_profile_gets_stars(self):
         order = normalize(3, 3)
         witness = build_witness(order, 3, 0)
         assert len(witness.trees) == 3
-        assert all(ct.klass is TreeClass.A1 for ct in witness.trees)
+        assert all(ct.klass == "A1" for ct in witness.trees)
         assert [ct.extras for ct in witness.trees] == [
             frozenset({xv(1)}), frozenset({xv(2)}), frozenset({xv(3)}),
         ]
@@ -144,14 +143,21 @@ class TestBuildWitness:
         order = normalize(2, 3)
         witness = build_witness(order, 3, 1)
         assert len(witness.trees) == 2
-        assert sorted(ct.klass.value for ct in witness.trees) == ["A0", "A2"]
+        assert sorted(ct.klass for ct in witness.trees) == ["A0", "A2"]
         assert verify_witness(order, witness).ok
 
     def test_three_by_four(self):
         order = normalize(3, 4)
         witness = build_witness(order, 5, 2)
         assert len(witness.trees) == 2
-        assert sorted(ct.klass.value for ct in witness.trees) == ["A0", "A2"]
+        assert sorted(ct.klass for ct in witness.trees) == ["A0", "A2"]
+
+    def test_classes_are_plain_strings(self):
+        # Certificates and verify_family spell classes as these strings.
+        order = normalize(5, 5)
+        for k, i in ((4, 2), (6, 3), (3, 0)):
+            for ct in build_witness(order, k, i).trees:
+                assert type(ct.klass) is str and ct.klass in ("A0", "A1", "A2")
 
 
 class TestVerifyWitness:
@@ -167,22 +173,22 @@ class TestVerifyWitness:
 
     def test_shared_edge_is_edge_overlap(self):
         order = normalize(2, 2)
-        first = ClassifiedTree(Tree(((1, 1), (1, 2), (2, 2))), TreeClass.A0, frozenset())
-        second = ClassifiedTree(Tree(((1, 1), (2, 1), (2, 2))), TreeClass.A0, frozenset())
+        first = ClassifiedTree(((1, 1), (1, 2), (2, 2)), "A0", frozenset())
+        second = ClassifiedTree(((1, 1), (2, 1), (2, 2)), "A0", frozenset())
         witness = SteinerWitness(4, 2, (first, second))
         assert verify_witness(order, witness).first_kind == "edge-overlap"
 
     def test_cycle_is_bad_tree(self):
         order = normalize(2, 2)
         looped = ClassifiedTree(
-            Tree(((1, 1), (1, 2), (2, 1), (2, 2))), TreeClass.A0, frozenset()
+            ((1, 1), (1, 2), (2, 1), (2, 2)), "A0", frozenset()
         )
         witness = SteinerWitness(4, 2, (looped,))
         assert verify_witness(order, witness).first_kind == "bad-tree"
 
     def test_missing_terminal_is_wrong_terminals(self):
         order = normalize(2, 2)
-        stub = ClassifiedTree(Tree(((1, 1),)), TreeClass.A0, frozenset())
+        stub = ClassifiedTree(((1, 1),), "A0", frozenset())
         witness = SteinerWitness(4, 2, (stub,))
         assert verify_witness(order, witness).first_kind == "wrong-terminals"
 
@@ -214,14 +220,14 @@ class TestWitnessSweep:
                         terminals = _terminals(witness.k, witness.i)
                         m = k - i
                         for ct in witness.trees:
-                            by_class[ct.klass.value] += 1
+                            by_class[ct.klass] += 1
                             assert not hubs & ct.extras
                             assert not ct.extras & terminals
                             hubs |= ct.extras
-                            if ct.klass is TreeClass.A1:
+                            if ct.klass == "A1":
                                 hub_sides |= {v.side for v in ct.extras}
                             internal_used += sum(
-                                1 for x, y in ct.tree.edges if x <= i and y <= m
+                                1 for x, y in ct.edges if x <= i and y <= m
                             )
                         assert by_class == {
                             "A0": breakdown.a0, "A1": breakdown.a1, "A2": breakdown.a2,
