@@ -32,7 +32,6 @@ from .core import (
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidTerminalSetError,
-    Side,
     ValidationReport,
     Violation,
     check_profile,
@@ -41,7 +40,7 @@ from .core import (
     verify_family,
 )
 from .packing import build_packing, target_tree_count
-from .witness import SteinerWitness, build_witness, verify_witness_trees
+from .witness import SteinerWitness, build_witness, verify_witness
 
 DOT_PALETTE = (
     "#a6cee3", "#1f78b4", "#b2df8a", "#33a02c", "#fb9a99", "#e31a1c",
@@ -72,11 +71,11 @@ def _flip(order: BipartiteOrder, k: int, i: int) -> int:
     return k - i if order.swapped else i
 
 
-def _flip_side(order: BipartiteOrder, side: Side | None) -> Side | None:
-    """A part in the other labeling (see ``_flip``).  Self-inverse."""
+def _flip_side(order: BipartiteOrder, side: str | None) -> str | None:
+    """A part, "X" or "Y", in the other labeling (see ``_flip``).  Self-inverse."""
     if side is None or not order.swapped:
         return side
-    return Side.Y if side is Side.X else Side.X
+    return "Y" if side == "X" else "X"
 
 
 def _oriented(order: BipartiteOrder, doc: CertificateDocument) -> CertificateDocument:
@@ -104,9 +103,9 @@ def packing_document(order: BipartiteOrder, trees: Sequence[Sequence[tuple[int, 
 
 def witness_document(order: BipartiteOrder, witness: SteinerWitness) -> CertificateDocument:
     """Certificate for a witness, in the caller's orientation."""
-    trees = tuple(ct.edges for ct in witness.trees)
-    classes = tuple(ct.klass for ct in witness.trees)
-    doc = CertificateDocument("witness", order.a, order.b, witness.k, witness.i, trees, classes)
+    doc = CertificateDocument(
+        "witness", order.a, order.b, witness.k, witness.i, witness.trees, witness.classes
+    )
     return _oriented(order, doc)
 
 
@@ -200,8 +199,8 @@ def parse_document(text: str) -> CertificateDocument:
 def verify_document(doc: CertificateDocument) -> ValidationReport:
     """Re-validate a certificate document: sound trees, declared classes that
     match, and as many trees as the closed form allows (see ``verify_family``
-    and ``verify_witness_trees``, which take ``trees`` and ``classes`` as
-    they are).  ``_oriented`` puts each tree in sorted order in the
+    and ``verify_witness``, which take ``trees`` and ``classes`` as they
+    are).  ``_oriented`` puts each tree in sorted order in the
     normalized a <= b labels, which its violations name, so a certificate
     and its mirror image report the same violation.  A witness's k and i
     must be present, and are range-checked first, in the document's own
@@ -218,7 +217,7 @@ def verify_document(doc: CertificateDocument) -> ValidationReport:
     if doc.kind == "packing":
         target = target_tree_count(order.a, order.b)
         return verify_family(order, doc.trees, order.a, order.b, target, classes=doc.classes)
-    return verify_witness_trees(order, doc.k, doc.i, doc.trees, classes=doc.classes)
+    return verify_witness(order, SteinerWitness(doc.k, doc.i, doc.trees, doc.classes))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,7 +299,7 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
             "i": _flip(order, args.k, i),
             "a2": breakdown.a2,
             "a1": breakdown.a1,
-            "a1_side": side.value if side is not None else "none",
+            "a1_side": side if side is not None else "none",
             "a0": breakdown.a0,
             "kappa": breakdown.kappa,
         }

@@ -16,7 +16,6 @@ from .core import (
     BipartiteOrder,
     ConstructionBugError,
     InvalidArgumentError,
-    Side,
     check_profile,
     terminal_range,
 )
@@ -26,13 +25,13 @@ class KappaBreakdown(NamedTuple):
     """Composition of one maximum set of internally disjoint trees.
 
     ``a2`` trees use a spare vertex on each side, ``a1`` trees use one
-    hub on ``a1_side`` (None when a1 = 0), ``a0`` trees use terminals
-    only.  ``kappa`` is their sum.
+    hub on ``a1_side``, "X" or "Y" (None when a1 = 0), ``a0`` trees use
+    terminals only.  ``kappa`` is their sum.
     """
 
     a2: int
     a1: int
-    a1_side: Side | None
+    a1_side: str | None
     a0: int
     kappa: int
 
@@ -50,19 +49,19 @@ def kappa_terminal(order: BipartiteOrder, k: int, i: int) -> KappaBreakdown:
     a, b = order.a, order.b
     check_profile(a, b, k, i)
     if i == 0:
-        return KappaBreakdown(a2=0, a1=a, a1_side=Side.X, a0=0, kappa=a)
+        return KappaBreakdown(a2=0, a1=a, a1_side="X", a0=0, kappa=a)
     if i == k:
-        return KappaBreakdown(a2=0, a1=b, a1_side=Side.Y, a0=0, kappa=b)
+        return KappaBreakdown(a2=0, a1=b, a1_side="Y", a0=0, kappa=b)
 
     m = k - i
     spare_x = a - i
     spare_y = b - m
     a2 = min(spare_x, spare_y)
     if spare_y >= spare_x:
-        side, a1 = Side.Y, min(spare_y - spare_x, i)
+        side, a1 = "Y", min(spare_y - spare_x, i)
         cost = m
     else:
-        side, a1 = Side.X, min(spare_x - spare_y, m)
+        side, a1 = "X", min(spare_x - spare_y, m)
         cost = i
     a0 = (i * m - a1 * cost) // (k - 1)
     return KappaBreakdown(

@@ -4,7 +4,9 @@ The host graph is always a complete bipartite graph with parts X (size a)
 and Y (size b), so it is never materialized: an edge is just a pair
 (x-index, y-index) and membership is a range check.  All indices are
 1-based on the public surface, so emitted certificates read like the
-usual x_1..x_a / y_1..y_b labels.  A tree is the tuple of its edges.
+usual x_1..x_a / y_1..y_b labels.  A vertex is a bare index, read from
+the side of the edge it sits on; only a violation names one, as x<s> or
+y<t>.  A tree is the tuple of its edges.
 Nothing checks one when it is made: ``verify_family`` diagnoses a tree
 read from a corrupted certificate rather than refusing it on the way in.
 
@@ -16,9 +18,8 @@ start-up, and a NamedTuple class costs a fraction of a dataclass.
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class TreeconnError(Exception):
@@ -43,33 +44,6 @@ class ConstructionBugError(TreeconnError):
 
 class InstanceTooLargeError(TreeconnError):
     """A brute-force guard was exceeded."""
-
-
-class Side(str, Enum):
-    """Which part of the bipartition a vertex belongs to."""
-
-    X = "X"
-    Y = "Y"
-
-
-class Vertex(NamedTuple):
-    """A vertex of the host graph, addressed as (side, 1-based index)."""
-
-    side: Side
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.side.value.lower()}{self.index}"
-
-
-def xv(index: int) -> Vertex:
-    """Vertex x_index."""
-    return Vertex(Side.X, index)
-
-
-def yv(index: int) -> Vertex:
-    """Vertex y_index."""
-    return Vertex(Side.Y, index)
 
 
 class _BipartiteOrder(NamedTuple):
@@ -167,13 +141,6 @@ def _report(kind: str, detail: str) -> ValidationReport:
     return ValidationReport((Violation(kind, detail),))
 
 
-def _vertex_id(order: BipartiteOrder, v: Vertex) -> int | None:
-    """Union-find id of a vertex (x_s is s, y_s is a + s); None off the host."""
-    if v.side is Side.X:
-        return v.index if 1 <= v.index <= order.a else None
-    return order.a + v.index if 1 <= v.index <= order.b else None
-
-
 def _grow_tree(
     order: BipartiteOrder, edges: Sequence[tuple[int, int]]
 ) -> tuple[Violation | None, dict[int, int]]:
@@ -212,28 +179,21 @@ def _grow_tree(
 
 
 def _uncovered(
-    order: BipartiteOrder,
-    parent: dict[int, int],
-    x_terminals: int,
-    y_terminals: int,
-    extras: Iterable[Vertex],
+    order: BipartiteOrder, parent: dict[int, int], x_terminals: int, y_terminals: int
 ) -> Violation | None:
-    """``missing-terminal`` for the smallest required vertex a tree lacks.
+    """``missing-terminal`` for the first terminal a tree lacks, X before Y.
 
-    Required are x_1..x_{x_terminals}, y_1..y_{y_terminals} and ``extras``.
-    Each side's scan stops at its first gap, which lies within
-    len(parent) + 1 steps, so a header claiming a huge host costs nothing.
+    The terminals are x_1..x_{x_terminals} and y_1..y_{y_terminals}.  Each
+    side's scan stops at its first gap, which lies within len(parent) + 1
+    steps, so a header claiming a huge host costs nothing.
     """
-    missing = [v for v in extras if _vertex_id(order, v) not in parent]
-    for side, count, offset in ((Side.X, x_terminals, 0), (Side.Y, y_terminals, order.a)):
+    for name, count, offset in (("x", x_terminals, 0), ("y", y_terminals, order.a)):
         gap = next((s for s in range(1, count + 1) if offset + s not in parent), None)
         if gap is not None:
-            missing.append(Vertex(side, gap))
-    if not missing:
-        return None
-    if not parent:
-        return Violation("missing-terminal", "tree has no edges")
-    return Violation("missing-terminal", f"{min(missing)} not covered")
+            if not parent:
+                return Violation("missing-terminal", "tree has no edges")
+            return Violation("missing-terminal", f"{name}{gap} not covered")
+    return None
 
 
 def verify_family(
@@ -242,7 +202,6 @@ def verify_family(
     x_terminals: int,
     y_terminals: int,
     target: int,
-    hubs: Sequence[Iterable[Vertex]] | None = None,
     classes: Sequence[str | None] | None = None,
 ) -> ValidationReport:
     """Check, in one pass, a maximum family of internally disjoint trees.
@@ -252,11 +211,12 @@ def verify_family(
     meet only in S.  Violations are data, not exceptions; only the first
     is reported.  Each tree in turn must lie in the host
     (``out-of-range``), be acyclic, a repeated edge counting as a cycle
-    (``cycle``), be connected (``disconnected``) and contain S and its
-    entry of ``hubs``, the declared hub vertices (``missing-terminal``).
-    Once every tree is sound, each declared class "A<j>" in ``classes``
-    (``None`` declares nothing) must count the tree's vertices outside S,
-    E + 1 - |S| for a tree of E edges (``class-mismatch``).  Across trees
+    (``cycle``), be connected (``disconnected``) and contain S
+    (``missing-terminal``).  Once every tree is sound, each declared class
+    "A<j>" in ``classes`` (``None`` declares nothing) must count the tree's
+    vertices outside S, E + 1 - |S| for a tree of E edges
+    (``class-mismatch``); that count is how many hubs the tree uses, and
+    no hub vertex is named or checked on its own.  Across trees
     every edge, and every vertex outside S, has one owner: the first tree
     that used it.  The lexicographically smallest pair of trees that share
     anything is reported, as ``vertex-overlap`` with the smallest shared
@@ -274,8 +234,7 @@ def verify_family(
     for index, edges in enumerate(trees):
         defect, parent = _grow_tree(order, edges)
         if defect is None:
-            extras = hubs[index] if hubs is not None else ()
-            defect = _uncovered(order, parent, x_terminals, y_terminals, extras)
+            defect = _uncovered(order, parent, x_terminals, y_terminals)
         if defect is not None:
             return ValidationReport((defect,))
         for edge in edges:
@@ -298,7 +257,7 @@ def verify_family(
     if clash is not None:
         first, second, rank, culprit = clash
         if rank == 0:
-            vertex = xv(culprit) if culprit <= a else yv(culprit - a)
+            vertex = f"x{culprit}" if culprit <= a else f"y{culprit - a}"
             return _report("vertex-overlap", f"trees {first} and {second} share {vertex}")
         x, y = culprit
         return _report("edge-overlap", f"trees {first} and {second} share edge (x{x}, y{y})")

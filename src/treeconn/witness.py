@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .connectivity import kappa_terminal
 from .core import (
@@ -26,40 +26,33 @@ from .core import (
     ConstructionBugError,
     InvalidArgumentError,
     InvalidTerminalSetError,
-    Side,
     ValidationReport,
-    Vertex,
     Violation,
     transposed,
     verify_family,
-    xv,
-    yv,
 )
 from .packing import build_tree, degree_sequence
 
 
-class ClassifiedTree(NamedTuple):
-    """A tree of the witness: its edge tuple, its class and its hubs.
-
-    The class is "A0", "A1" or "A2", the number of non-terminal hubs the
-    tree uses, spelled as certificates spell it; ``extras`` holds those hubs.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    klass: str
-    extras: frozenset[Vertex]
-
-
 class SteinerWitness(NamedTuple):
     """A set of internally disjoint trees connecting the terminal set S_i
-    with k terminals, i of them in X (see ``check_profile``)."""
+    with k terminals, i of them in X (see ``check_profile``).
+
+    ``trees`` holds edge tuples and ``classes`` the class each tree
+    declares, in parallel: "A0", "A1" or "A2", the number of vertices
+    outside S_i the tree uses (its non-terminal hubs), or None to declare
+    nothing.  A tree without an entry declares nothing.
+    """
 
     k: int
     i: int
-    trees: tuple[ClassifiedTree, ...]
+    trees: tuple[tuple[tuple[int, int], ...], ...]
+    classes: tuple[str | None, ...]
 
 
-def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[ClassifiedTree, ...]:
+def build_a2_trees(
+    order: BipartiteOrder, k: int, i: int, count: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """``count`` two-hub trees, pairing spare vertices in index order.
 
     Tree c uses hubs x_{i+c} and y_{(k-i)+c}: the x-hub covers every
@@ -74,8 +67,7 @@ def build_a2_trees(order: BipartiteOrder, k: int, i: int, count: int) -> tuple[C
     out = []
     for c in range(1, count + 1):
         u, v = i + c, m + c
-        edges = tuple(chain(zip(repeat(u), range(1, m + 1)), zip(range(1, i + 1), repeat(v)), ((u, v),)))
-        out.append(ClassifiedTree(edges, "A2", frozenset({xv(u), yv(v)})))
+        out.append(tuple(chain(zip(repeat(u), range(1, m + 1)), zip(range(1, i + 1), repeat(v)), ((u, v),))))
     return tuple(out)
 
 
@@ -85,10 +77,11 @@ def build_internal_trees(
     i: int,
     p: int,
     q: int,
-    side: Side,
+    side: str,
     spare_offset: int = 0,
-) -> tuple[ClassifiedTree, ...]:
-    """p terminal-only trees followed by q single-hub trees on ``side``.
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """p terminal-only trees followed by q single-hub trees on ``side``,
+    "X" or "Y".
 
     Requires the budget p(k-1) + q*cost <= i(k-i), where cost is the
     number of same-side terminals each hub tree must attach through an
@@ -104,30 +97,33 @@ def build_internal_trees(
     attaches the terminal through the h-th of them.
     """
     m = k - i
+    if side not in ("X", "Y"):
+        raise InvalidArgumentError(f"side must be 'X' or 'Y', got {side!r}")
     if p < 0 or q < 0:
         raise InvalidArgumentError(f"tree counts must be nonnegative, got p={p}, q={q}")
-    cost = i if side is Side.X else m
+    on_x = side == "X"
+    cost = i if on_x else m
     if p * (k - 1) + q * cost > i * m:
         raise InvalidArgumentError(
             f"budget exceeded: {p}*(k-1) + {q}*{cost} > {i * m} internal edges"
         )
-    spare_total = (order.a - i) if side is Side.X else (order.b - m)
+    spare_total = (order.a - i) if on_x else (order.b - m)
     if spare_offset + q > spare_total:
-        raise InvalidArgumentError(f"need {q} spare hubs on side {side.value}, have {spare_total - spare_offset}")
+        raise InvalidArgumentError(f"need {q} spare hubs on side {side}, have {spare_total - spare_offset}")
 
-    trees: list[ClassifiedTree] = []
+    trees: list[tuple[tuple[int, int], ...]] = []
     used: set[tuple[int, int]] = set()
     if p > 0:
         # Rows on the attachment side: its per-terminal edge usage across
         # the p trees is then a width-p window sum, balanced within one,
         # which is what leaves every terminal q free partners for phase two.
-        rows, cols = (i, m) if side is Side.X else (m, i)
+        rows, cols = (i, m) if on_x else (m, i)
         dseq = degree_sequence(rows, cols, p)
         for shift_index in range(1, p + 1):
             packed = build_tree(dseq, shift_index)
-            real = packed if side is Side.X else transposed(packed)
+            real = packed if on_x else transposed(packed)
             used.update(real)
-            trees.append(ClassifiedTree(real, "A0", frozenset()))
+            trees.append(real)
         if len(used) != p * (k - 1):
             raise ConstructionBugError(f"the {p} terminal-only trees share internal edges")
 
@@ -135,20 +131,17 @@ def build_internal_trees(
     # that the terminal-only trees left unused; hub tree h takes the h-th.
     free = []
     for s in range(1, cost + 1):
-        at_s = zip(repeat(s), range(1, m + 1)) if side is Side.X else zip(range(1, i + 1), repeat(s))
+        at_s = zip(repeat(s), range(1, m + 1)) if on_x else zip(range(1, i + 1), repeat(s))
         free.append(list(islice(filterfalse(used.__contains__, at_s), q)))
         if len(free[-1]) < q:
-            raise ConstructionBugError(f"terminal {s} on side {side.value} has under {q} free internal edges")
+            raise ConstructionBugError(f"terminal {s} on side {side} has under {q} free internal edges")
 
     for h in range(q):
-        if side is Side.X:
-            hub = xv(i + spare_offset + h + 1)
-            star = zip(repeat(hub.index), range(1, m + 1))
+        if on_x:
+            star = zip(repeat(i + spare_offset + h + 1), range(1, m + 1))
         else:
-            hub = yv(m + spare_offset + h + 1)
-            star = zip(range(1, i + 1), repeat(hub.index))
-        edges = tuple(chain(star, map(itemgetter(h), free)))
-        trees.append(ClassifiedTree(edges, "A1", frozenset({hub})))
+            star = zip(range(1, i + 1), repeat(m + spare_offset + h + 1))
+        trees.append(tuple(chain(star, map(itemgetter(h), free))))
 
     return tuple(trees)
 
@@ -156,58 +149,41 @@ def build_internal_trees(
 def build_witness(order: BipartiteOrder, k: int, i: int) -> SteinerWitness:
     """A maximum internally disjoint tree set for S_i, sized by kappa_terminal.
 
-    The A2 / A0 / A1 counts of the breakdown are realized directly.  A
-    one-sided terminal set has only A1 trees: stars hubbed at every
-    vertex of the other part, which attach no same-side terminal.
+    The A2 / A0 / A1 counts of the breakdown are realized directly, in
+    that order.  A one-sided terminal set has only A1 trees: stars hubbed
+    at every vertex of the other part, which attach no same-side terminal.
     """
     breakdown = kappa_terminal(order, k, i)
-    side = breakdown.a1_side if breakdown.a1_side is not None else Side.X
+    side = breakdown.a1_side or "X"
     trees = build_a2_trees(order, k, i, breakdown.a2) + build_internal_trees(
         order, k, i, p=breakdown.a0, q=breakdown.a1, side=side, spare_offset=breakdown.a2
     )
     if len(trees) != breakdown.kappa:
         raise ConstructionBugError(f"built {len(trees)} trees, breakdown promises {breakdown.kappa}")
-    return SteinerWitness(k=k, i=i, trees=trees)
+    classes = ("A2",) * breakdown.a2 + ("A0",) * breakdown.a0 + ("A1",) * breakdown.a1
+    return SteinerWitness(k, i, trees, classes)
 
 
-def verify_witness_trees(
-    order: BipartiteOrder,
-    k: int,
-    i: int,
-    trees: Sequence[Sequence[tuple[int, int]]],
-    hubs: Sequence[Iterable[Vertex]] | None = None,
-    classes: Sequence[str | None] | None = None,
-) -> ValidationReport:
-    """``verify_witness`` on bare edge lists, with optional declared hubs
-    and classes: ``verify_family`` over S_i with target kappa(S_i).
+def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> ValidationReport:
+    """Check a witness: ``verify_family`` over S_i with target kappa(S_i).
 
-    Its per-tree kinds are renamed: ``bad-tree`` (not a tree / out of
-    range) and ``wrong-terminals`` (a tree misses a terminal or a declared
-    hub).  An invalid profile is also ``wrong-terminals``.  The other
-    kinds, ``class-mismatch``, ``vertex-overlap``, ``edge-overlap`` and
+    The trees must be sound and connect S_i, each declared class must
+    count the tree's vertices outside S_i, no two trees may share an edge
+    or a vertex outside S_i, and there must be kappa(S_i) of them.  The
+    per-tree kinds are renamed: ``bad-tree`` (not a tree / out of range)
+    and ``wrong-terminals`` (a tree misses a terminal).  An invalid
+    profile is also ``wrong-terminals``.  The other kinds,
+    ``class-mismatch``, ``vertex-overlap``, ``edge-overlap`` and
     ``not-maximum``, pass through.
     """
+    k, i = witness.k, witness.i
     try:
         target = kappa_terminal(order, k, i).kappa
     except InvalidTerminalSetError as exc:
         return ValidationReport((Violation("wrong-terminals", str(exc)),))
-    report = verify_family(order, trees, i, k - i, target, hubs, classes)
+    report = verify_family(order, witness.trees, i, k - i, target, witness.classes)
     kind = report.first_kind
     if kind in ("out-of-range", "cycle", "disconnected", "missing-terminal"):
         coarse = "wrong-terminals" if kind == "missing-terminal" else "bad-tree"
         return ValidationReport((Violation(coarse, str(report.violations[0])),))
     return report
-
-
-def verify_witness(order: BipartiteOrder, witness: SteinerWitness) -> ValidationReport:
-    """Check a witness: valid trees over S_i, classes that count their
-    hubs, no shared edges, no shared hubs, and as many trees as
-    kappa(S_i); see ``verify_witness_trees``."""
-    return verify_witness_trees(
-        order,
-        witness.k,
-        witness.i,
-        [ct.edges for ct in witness.trees],
-        [ct.extras for ct in witness.trees],
-        [ct.klass for ct in witness.trees],
-    )

@@ -610,9 +610,7 @@ class TestDocumentLayer:
     def test_orienting_a_swapped_witness_flips_its_profile(self):
         order = normalize(6, 4)
         witness = build_witness(order, 5, 2)
-        doc = CertificateDocument("witness", order.a, order.b, 5, 2,
-                                  tuple(ct.edges for ct in witness.trees),
-                                  tuple(ct.klass for ct in witness.trees))
+        doc = CertificateDocument("witness", order.a, order.b, 5, 2, witness.trees, witness.classes)
         caller = cli._oriented(order, doc)
         assert (caller.a, caller.b, caller.k, caller.i) == (6, 4, 5, 3)
         assert caller.classes == doc.classes
@@ -663,7 +661,8 @@ class TestDocumentLayer:
 
 def test_top_level_exports_are_the_readme_library():
     """``treeconn.__all__``, less the error classes, is exactly what the
-    README's Library code block imports from ``treeconn``."""
+    README's Library code block imports from ``treeconn``, and the block
+    runs."""
     import treeconn
 
     readme = (Path(treeconn.__file__).resolve().parents[2] / "README.md").read_text()
@@ -682,6 +681,7 @@ def test_top_level_exports_are_the_readme_library():
     }
     assert set(treeconn.__all__) - errors == documented
     assert all(hasattr(treeconn, name) for name in treeconn.__all__)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 
 from treeconn import InvalidArgumentError, InvalidTerminalSetError, kappa_bipartite, normalize
 from treeconn.connectivity import kappa_terminal, min_terminal_index
-from treeconn.core import Side, terminal_range
+from treeconn.core import terminal_range
 
 
 class TestKappaTerminal:
@@ -28,10 +28,15 @@ class TestKappaTerminal:
         assert (bd.a2, bd.a1, bd.a0, bd.kappa) == (3, 0, 1, 4)
 
     def test_side_reported_only_when_hub_trees_exist(self):
-        assert kappa_terminal(normalize(3, 4), 5, 1).a1_side is Side.X
+        assert kappa_terminal(normalize(3, 4), 5, 1).a1_side == "X"
         assert kappa_terminal(normalize(3, 4), 5, 2).a1_side is None
-        assert kappa_terminal(normalize(3, 3), 3, 0).a1_side is Side.X
-        assert kappa_terminal(normalize(3, 3), 3, 3).a1_side is Side.Y
+        assert kappa_terminal(normalize(3, 3), 3, 0).a1_side == "X"
+        assert kappa_terminal(normalize(3, 3), 3, 3).a1_side == "Y"
+
+    def test_side_is_a_plain_string(self):
+        for k, i in ((5, 1), (3, 0), (3, 3), (4, 3)):
+            side = kappa_terminal(normalize(3, 4), k, i).a1_side
+            assert type(side) is str and side in ("X", "Y")
 
     def test_rejects_invalid_profile(self):
         with pytest.raises(InvalidTerminalSetError):
@@ -133,7 +138,7 @@ class TestStructuralInequalities:
                             continue
                         bd = kappa_terminal(order, k, i)
                         # each single-hub tree uses one internal edge per hub-side terminal
-                        cost = i if bd.a1_side is Side.X else k - i
+                        cost = i if bd.a1_side == "X" else k - i
                         used = bd.a0 * (k - 1) + bd.a1 * cost
                         assert 0 <= used <= i * (k - i)
 

@@ -1,6 +1,10 @@
 """Tests for the bipartite base types, the package's records and the
 per-tree checks of ``verify_family``."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,14 +14,10 @@ from treeconn.cli import packing_document
 from treeconn.connectivity import kappa_terminal
 from treeconn.core import (
     BipartiteOrder,
-    Side,
     ValidationReport,
-    Vertex,
     Violation,
     check_profile,
     verify_family,
-    xv,
-    yv,
 )
 from treeconn.packing import degree_sequence
 
@@ -54,20 +54,21 @@ def spanning_tree_instances(draw):
     a = draw(st.integers(1, 6))
     b = draw(st.integers(1, 6))
     order = BipartiteOrder(min(a, b), max(a, b))
-    xs = [xv(s) for s in range(1, order.a + 1)]
-    ys = [yv(s) for s in range(1, order.b + 1)]
+    # A vertex is (side, index): x_s is ("x", s), y_t is ("y", t).
+    xs = [("x", s) for s in range(1, order.a + 1)]
+    ys = [("y", s) for s in range(1, order.b + 1)]
     rest = draw(st.permutations(xs[1:] + ys))
     # the first attached vertex must be a y, since only x1 is placed so far
-    first_y = next(pos for pos, v in enumerate(rest) if v.side is Side.Y)
+    first_y = next(pos for pos, (side, _) in enumerate(rest) if side == "y")
     rest.insert(0, rest.pop(first_y))
-    placed = {Side.X: [xs[0]], Side.Y: []}
+    placed = {"x": [1], "y": []}
     edges = []
-    for v in rest:
-        other = placed[Side.Y if v.side is Side.X else Side.X]
+    for side, index in rest:
+        other = placed["y" if side == "x" else "x"]
         pick = other[draw(st.integers(0, len(other) - 1))]
-        edge = (v.index, pick.index) if v.side is Side.X else (pick.index, v.index)
+        edge = (index, pick) if side == "x" else (pick, index)
         edges.append(edge)
-        placed[v.side].append(v)
+        placed[side].append(index)
     return order, tuple(edges)
 
 
@@ -165,14 +166,13 @@ def _records():
     witness = build_witness(order, 5, 2)
     document = packing_document(order, packing)
     return [
-        (xv(1), "index"),
         (order, "swapped"),
         (Violation("cycle", "edge (x1, y1) closes a cycle"), "kind"),
         (ValidationReport(), "violations"),
         (kappa_terminal(order, 5, 2), "kappa"),
         (degree_sequence(3, 4, 2), "degrees"),
-        (witness.trees[0], "klass"),
         (witness, "trees"),
+        (witness, "classes"),
         (document, "kind"),
         (document, "classes"),
     ]
@@ -187,16 +187,28 @@ class TestRecords:
             setattr(record, name, getattr(record, name))
 
     def test_vertices_and_orders_are_keys(self):
-        assert {xv(1): "x", yv(1): "y"}[Vertex(Side.X, 1)] == "x"
-        assert xv(1) in frozenset({Vertex(Side.X, 1)})
         assert {normalize(4, 3): 1}[BipartiteOrder(3, 4, swapped=True)] == 1
         assert len(frozenset({normalize(4, 3), BipartiteOrder(3, 4, swapped=True), normalize(3, 4)})) == 2
 
-    def test_vertices_sort_by_side_then_index(self):
-        assert sorted([yv(1), xv(2), xv(1)]) == [xv(1), xv(2), yv(1)]
-
     def test_repr_names_the_fields(self):
         assert repr(normalize(4, 3)) == "BipartiteOrder(a=3, b=4, swapped=True)"
-        assert repr(xv(1)) == "Vertex(side=<Side.X: 'X'>, index=1)"
         assert repr(Violation("cycle", "x")) == "Violation(kind='cycle', detail='x')"
         assert repr(ValidationReport()) == "ValidationReport(violations=())"
+
+
+def test_vertex_and_hub_records_are_gone():
+    # A vertex is an int and a witness is its trees plus their classes.
+    import treeconn.witness as witness_module
+    from treeconn import core
+
+    for module, name in ((core, "Side"), (core, "Vertex"), (core, "xv"), (core, "yv"), (core, "_vertex_id"),
+                         (witness_module, "ClassifiedTree"), (witness_module, "verify_witness_trees")):
+        assert not hasattr(module, name), name
+    assert list(inspect.signature(verify_family).parameters)[4:] == ["target", "classes"]
+    package = Path(core.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "enum" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "enum", path.name

@@ -13,15 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconn import build_packing, build_witness, normalize
+from treeconn import build_packing, build_witness, normalize, verify_witness
 from treeconn.cli import CertificateDocument, run, verify_document
 from treeconn.connectivity import kappa_terminal
-from treeconn.core import Side, Vertex, xv, yv
 from treeconn.packing import target_tree_count
-from treeconn.witness import verify_witness_trees
+from treeconn.witness import SteinerWitness
+
+# The reference names a vertex (side, index): x_s is ("x", s), y_t is ("y", t),
+# so X sorts before Y, and "%s%d" % vertex prints it as the verifier does.
+
 
 def _tree_vertices(edges) -> set:
-    return {xv(x) for x, _ in edges} | {yv(y) for _, y in edges}
+    return {("x", x) for x, _ in edges} | {("y", y) for _, y in edges}
 
 
 def _naive_tree_kind(a: int, b: int, edges: list, required: set) -> str | None:
@@ -31,8 +34,8 @@ def _naive_tree_kind(a: int, b: int, edges: list, required: set) -> str | None:
     vertices = _tree_vertices(edges)
     adjacent: dict = {v: set() for v in vertices}
     for x, y in edges:
-        adjacent[xv(x)].add(yv(y))
-        adjacent[yv(y)].add(xv(x))
+        adjacent[("x", x)].add(("y", y))
+        adjacent[("y", y)].add(("x", x))
     components, seen = 0, set()
     for start in vertices:
         if start in seen:
@@ -54,7 +57,7 @@ def _naive_tree_kind(a: int, b: int, edges: list, required: set) -> str | None:
     return None
 
 
-def naive_verify(order, k, i, trees, hubs) -> tuple[str | None, str | None]:
+def naive_verify(order, k, i, trees) -> tuple[str | None, str | None]:
     """(kind, detail) of the first violation, or (None, None).
 
     Details are given for the overlap kinds only: the first pair of trees
@@ -62,13 +65,13 @@ def naive_verify(order, k, i, trees, hubs) -> tuple[str | None, str | None]:
     """
     a, b = order.a, order.b
     if k is None:
-        terminals = {xv(s) for s in range(1, a + 1)} | {yv(t) for t in range(1, b + 1)}
+        terminals = {("x", s) for s in range(1, a + 1)} | {("y", t) for t in range(1, b + 1)}
         target = target_tree_count(a, b)
     else:
-        terminals = {xv(s) for s in range(1, i + 1)} | {yv(t) for t in range(1, k - i + 1)}
+        terminals = {("x", s) for s in range(1, i + 1)} | {("y", t) for t in range(1, k - i + 1)}
         target = kappa_terminal(order, k, i).kappa
-    for edges, extras in zip(trees, hubs):
-        kind = _naive_tree_kind(a, b, edges, terminals | set(extras))
+    for edges in trees:
+        kind = _naive_tree_kind(a, b, edges, terminals)
         if kind is not None:
             if k is not None:
                 kind = "wrong-terminals" if kind == "missing-terminal" else "bad-tree"
@@ -78,7 +81,7 @@ def naive_verify(order, k, i, trees, hubs) -> tuple[str | None, str | None]:
         for q in range(p + 1, len(trees)):
             shared = (vertex_sets[p] & vertex_sets[q]) - terminals
             if shared:
-                return "vertex-overlap", f"vertex-overlap: trees {p} and {q} share {min(shared)}"
+                return "vertex-overlap", "vertex-overlap: trees %d and %d share %s%d" % (p, q, *min(shared))
             shared_edges = set(trees[p]) & set(trees[q])
             if shared_edges:
                 x, y = min(shared_edges)
@@ -88,14 +91,14 @@ def naive_verify(order, k, i, trees, hubs) -> tuple[str | None, str | None]:
     return None, None
 
 
-def _path(edges: list, start: Vertex, goal: Vertex) -> list:
+def _path(edges: list, start: tuple, goal: tuple) -> list:
     """Edges on the path from start to goal within a tree, or [] if none."""
     via = {start: None}
     stack = [start]
     while stack:
         v = stack.pop()
         for x, y in edges:
-            for here, there in ((xv(x), yv(y)), (yv(y), xv(x))):
+            for here, there in ((("x", x), ("y", y)), (("y", y), ("x", x))):
                 if here == v and there not in via:
                     via[there] = (v, (x, y))
                     stack.append(there)
@@ -115,7 +118,7 @@ MUTATIONS = ("steal-edge", "steal-edge", "share-hub", "share-hub", "extra-tree",
              "wild-edge")
 
 
-def _mutate(draw, mutation: str, a: int, b: int, trees: list, hubs: list) -> None:
+def _mutate(draw, mutation: str, a: int, b: int, trees: list) -> None:
     """Plant one defect, keeping the touched trees trees where the defect allows."""
     pick = lambda seq: seq[draw(st.integers(0, len(seq) - 1))]  # noqa: E731
     indices = list(range(len(trees)))
@@ -128,7 +131,7 @@ def _mutate(draw, mutation: str, a: int, b: int, trees: list, hubs: list) -> Non
         edge = pick(trees[p])
         if edge not in trees[q]:
             # Adding the stolen edge closes a cycle in q; drop one of its edges.
-            cycle = _path(trees[q], xv(edge[0]), yv(edge[1]))
+            cycle = _path(trees[q], ("x", edge[0]), ("y", edge[1]))
             if cycle:
                 trees[q].remove(pick(cycle))
             trees[q].append(edge)
@@ -138,9 +141,9 @@ def _mutate(draw, mutation: str, a: int, b: int, trees: list, hubs: list) -> Non
         if not others:
             return
         q = pick(others)
-        hub = pick(sorted(_tree_vertices(trees[p])))
-        partner = pick(sorted(v for v in _tree_vertices(trees[q]) if v.side != hub.side))
-        edge = (hub.index, partner.index) if hub.side is Side.X else (partner.index, hub.index)
+        hub_side, hub = pick(sorted(_tree_vertices(trees[p])))
+        partner = pick(sorted(index for side, index in _tree_vertices(trees[q]) if side != hub_side))
+        edge = (hub, partner) if hub_side == "x" else (partner, hub)
         if edge not in trees[q]:
             trees[q].append(edge)
     elif mutation == "chord" and nonempty:
@@ -155,27 +158,25 @@ def _mutate(draw, mutation: str, a: int, b: int, trees: list, hubs: list) -> Non
         t = pick(nonempty)
         degree: dict = {}
         for x, y in trees[t]:
-            degree[xv(x)] = degree.get(xv(x), 0) + 1
-            degree[yv(y)] = degree.get(yv(y), 0) + 1
-        leaves = [e for e in trees[t] if degree[xv(e[0])] == 1 or degree[yv(e[1])] == 1]
+            degree["x", x] = degree.get(("x", x), 0) + 1
+            degree["y", y] = degree.get(("y", y), 0) + 1
+        leaves = [e for e in trees[t] if degree["x", e[0]] == 1 or degree["y", e[1]] == 1]
         if leaves:
             trees[t].remove(pick(leaves))
     elif mutation == "drop-tree" and trees:
         t = pick(indices)
-        del trees[t], hubs[t]
+        del trees[t]
     elif mutation == "copy-tree":
         p = pick(indices)
         q = pick([n for n in indices if n != p])
-        trees[q], hubs[q] = list(trees[p]), hubs[p]
+        trees[q] = list(trees[p])
     elif mutation == "extra-tree" and trees:
         p = pick(indices)
         trees.append(list(trees[p]))
-        hubs.append(hubs[p])
     elif mutation == "swap-trees":
         p = pick(indices)
         q = pick([n for n in indices if n != p])
         trees[p], trees[q] = trees[q], trees[p]
-        hubs[p], hubs[q] = hubs[q], hubs[p]
     elif mutation == "wild-edge" and trees:
         t = pick(indices)
         trees[t].append((draw(st.integers(0, a + 1)), draw(st.integers(0, b + 1))))
@@ -192,17 +193,15 @@ def families(draw):
     if draw(st.booleans()):
         k = i = None
         trees = [list(t) for t in build_packing(order)]
-        hubs = [frozenset()] * len(trees)
     else:
         k = draw(st.integers(2, total))
         i = draw(st.integers(max(0, k - b), min(a, k)))
         witness = build_witness(order, k, i)
-        trees = [list(ct.edges) for ct in witness.trees]
-        hubs = [ct.extras for ct in witness.trees]
+        trees = [list(edges) for edges in witness.trees]
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
-        _mutate(draw, mutation, a, b, trees, hubs)
+        _mutate(draw, mutation, a, b, trees)
     # A square host named either way reads the same, so only a < b can swap.
-    return order, k, i, trees, hubs, a < b and draw(st.booleans())
+    return order, k, i, trees, a < b and draw(st.booleans())
 
 
 def _document(order, k, i, trees, swap: bool) -> CertificateDocument:
@@ -226,16 +225,16 @@ class TestAgainstNaiveReference:
     @settings(max_examples=400, deadline=None)
     @given(families())
     def test_documents(self, family):
-        order, k, i, trees, hubs, swap = family
-        expected = naive_verify(order, k, i, trees, [()] * len(trees))
+        order, k, i, trees, swap = family
+        expected = naive_verify(order, k, i, trees)
         _agrees(verify_document(_document(order, k, i, trees, swap)), expected)
 
     @settings(max_examples=400, deadline=None)
     @given(families().filter(lambda family: family[1] is not None))
-    def test_witnesses_with_declared_hubs(self, family):
-        order, k, i, trees, hubs, _ = family
-        expected = naive_verify(order, k, i, trees, hubs)
-        _agrees(verify_witness_trees(order, k, i, [tuple(t) for t in trees], hubs), expected)
+    def test_witnesses(self, family):
+        order, k, i, trees, _ = family
+        witness = SteinerWitness(k, i, tuple(tuple(edges) for edges in trees), ())
+        _agrees(verify_witness(order, witness), naive_verify(order, k, i, trees))
 
 
 class TestSmallestClashingPair:
@@ -284,8 +283,8 @@ class TestBoundedByInput:
 
     def test_one_edge_witness_on_huge_host(self):
         order = normalize(10**9, 10**9)
-        report, peak, seconds = _bounded(lambda: verify_witness_trees(
-            order, 10**9, 5 * 10**8, [((1, 1),)], [frozenset({xv(10**9), yv(10**9)})]))
+        witness = SteinerWitness(10**9, 5 * 10**8, (((1, 1),),), ())
+        report, peak, seconds = _bounded(lambda: verify_witness(order, witness))
         assert str(report.violations[0]) == "wrong-terminals: missing-terminal: x2 not covered"
         assert peak < 1 << 20
         assert seconds < 0.1
