@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 invalid arguments or instance-too-large,
 they make only acyclic tuples, lists and dicts, which reference counting
 frees.  ``oracle`` keeps it on, as its recursive closures are cycles.
 
-Each process runs one command, so what this module imports is paid by
-every command.  ``oracle`` imports its module when it runs: it is the
-package's largest, and no other command uses it.
+Each process runs one command, so what this module imports, and what
+``run`` builds, is paid by every command.  ``oracle`` imports its module
+when it runs: it is the package's largest, and no other command uses it.
+A command builds only its own subparser (see ``_build_parser``).
 """
 
 from __future__ import annotations
@@ -228,54 +229,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_sizes(sub: argparse.ArgumentParser) -> None:
+def _add_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    """Register ``command``'s arguments on its subparser, in help order."""
+    if command == "verify":
+        sub.add_argument("--input", required=True, help="path to a certificate file")
+        return
     sub.add_argument("--a", type=int, required=True, help="size of the first part")
     sub.add_argument("--b", type=int, required=True, help="size of the second part")
+    if command == "kappa":
+        sub.add_argument("--k", type=int, required=True, help="number of terminals")
+        sub.add_argument("--i", type=int, default=None, help="terminals taken from the first part")
+        sub.add_argument("--breakdown", action="store_true", help="print the (a2, a1, a0) composition")
+    elif command == "witness":
+        sub.add_argument("--k", type=int, required=True)
+        sub.add_argument("--i", type=int, default=None, help="default: a profile attaining kappa_k")
+    elif command == "oracle":
+        sub.add_argument("--k", type=int, default=None, help="omit to count spanning trees")
+    if command in ("pack", "witness"):
+        sub.add_argument("--format", choices=("json", "dot"), default="json")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """A parser with only the subparser that ``argv[0]`` names, or all six
+    when it names none (``--help``, a typo).  With one, a fixed metavar lists
+    every command in usage lines; with six, argparse lists them itself, and
+    its errors name ``command``, where they would name a metavar."""
     # A literal, not __doc__, which python -OO strips.
     description = "Command-line front end: compute, construct, verify, and export certificates."
     parser = _Parser(prog="treeconn", description=description)
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    kappa = commands.add_parser("kappa", help="k-connectivity, or one terminal profile's value")
-    _add_sizes(kappa)
-    kappa.add_argument("--k", type=int, required=True, help="number of terminals")
-    kappa.add_argument("--i", type=int, default=None, help="terminals taken from the first part")
-    kappa.add_argument("--breakdown", action="store_true", help="print the (a2, a1, a0) composition")
-    kappa.set_defaults(func=_cmd_kappa)
-
-    pack = commands.add_parser("pack", help="emit a maximum spanning-tree packing")
-    _add_sizes(pack)
-    pack.add_argument("--format", choices=("json", "dot"), default="json")
-    pack.set_defaults(func=_cmd_pack)
-
-    witness = commands.add_parser("witness", help="emit a maximum witness for one terminal set")
-    _add_sizes(witness)
-    witness.add_argument("--k", type=int, required=True)
-    witness.add_argument("--i", type=int, default=None, help="default: a profile attaining kappa_k")
-    witness.add_argument("--format", choices=("json", "dot"), default="json")
-    witness.set_defaults(func=_cmd_witness)
-
-    verify = commands.add_parser("verify", help="re-validate a JSON certificate")
-    verify.add_argument("--input", required=True, help="path to a certificate file")
-    verify.set_defaults(func=_cmd_verify)
-
-    oracle = commands.add_parser(
-        "oracle",
-        help="exact values independent of the constructions: edge-disjoint spanning "
-        "trees by matroid partition (ab <= 400), kappa_k by exhaustive search (a+b <= 8; "
-        "k = a+b by matroid partition)",
-    )
-    _add_sizes(oracle)
-    oracle.add_argument("--k", type=int, default=None, help="omit to count spanning trees")
-    oracle.set_defaults(func=_cmd_oracle)
-
-    table = commands.add_parser("table", help="kappa_k for every k, one line each")
-    _add_sizes(table)
-    table.set_defaults(func=_cmd_table)
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_arguments(commands.add_parser(name, help=_COMMANDS[name][0]), name)
     return parser
 
 
@@ -360,18 +346,32 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's help and function, in the order that --help lists them.
+_COMMANDS = {
+    "kappa": ("k-connectivity, or one terminal profile's value", _cmd_kappa),
+    "pack": ("emit a maximum spanning-tree packing", _cmd_pack),
+    "witness": ("emit a maximum witness for one terminal set", _cmd_witness),
+    "verify": ("re-validate a JSON certificate", _cmd_verify),
+    "oracle": ("exact values independent of the constructions: edge-disjoint spanning trees by "
+               "matroid partition (ab <= 400), kappa_k by exhaustive search (a+b <= 8; "
+               "k = a+b by matroid partition)", _cmd_oracle),
+    "table": ("kappa_k for every k, one line each", _cmd_table),
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Dispatch one CLI invocation and return its exit code."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     paused = gc.isenabled() and args.command in ("pack", "witness", "verify")
     if paused:
         gc.disable()
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except (InvalidArgumentError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

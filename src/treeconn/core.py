@@ -18,6 +18,7 @@ start-up, and a NamedTuple class costs a fraction of a dataclass.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -149,28 +150,33 @@ def _grow_tree(
     Returns the first ``out-of-range``, ``cycle`` or ``disconnected``
     defect (checked in that order; a repeated edge closes a cycle) and the
     union-find's parent map, whose keys are exactly the tree's vertices.
+    The root of x stays a root through its run of edges (the rest link
+    under it), so a y seen for the first time joins it with no find.
     """
     a, b = order.a, order.b
-    for x, y in edges:
-        if not 1 <= x <= a or not 1 <= y <= b:
+    if edges:
+        xs, ys = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
+        if min(xs) < 1 or max(xs) > a or min(ys) < 1 or max(ys) > b:
+            x, y = next((x, y) for x, y in edges if not 1 <= x <= a or not 1 <= y <= b)
             return Violation("out-of-range", f"edge (x{x}, y{y}) outside {a}x{b}"), {}
 
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    run_x = root = 0
     for x, y in edges:
-        w = a + y
-        parent.setdefault(x, x)
-        parent.setdefault(w, w)
-        rx, ry = find(x), find(w)
-        if rx == ry:
+        if x != run_x:
+            run_x = root = x
+            parent.setdefault(x, x)
+            while parent[root] != root:  # path halving
+                parent[root] = root = parent[parent[root]]
+        v = parent.get(a + y)
+        if v is None:
+            parent[a + y] = root
+            continue
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if v == root:
             return Violation("cycle", f"edge (x{x}, y{y}) closes a cycle"), parent
-        parent[rx] = ry
+        parent[v] = root
 
     # An acyclic edge set on V vertices has V - |E| components.
     if edges and len(parent) != len(edges) + 1:
@@ -188,11 +194,11 @@ def _uncovered(
     steps, so a header claiming a huge host costs nothing.
     """
     for name, count, offset in (("x", x_terminals, 0), ("y", y_terminals, order.a)):
-        gap = next((s for s in range(1, count + 1) if offset + s not in parent), None)
+        gap = next(filterfalse(parent.__contains__, range(offset + 1, offset + count + 1)), None)
         if gap is not None:
             if not parent:
                 return Violation("missing-terminal", "tree has no edges")
-            return Violation("missing-terminal", f"{name}{gap} not covered")
+            return Violation("missing-terminal", f"{name}{gap - offset} not covered")
     return None
 
 

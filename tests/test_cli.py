@@ -580,6 +580,70 @@ class TestTableCommand:
         assert lines[-1] == "7\t2"
 
 
+# One valid run per command; "{cert}" stands for a packing certificate's path.
+_VALID_RUNS = {
+    "kappa": ("--a", "3", "--b", "4", "--k", "5"),
+    "pack": ("--a", "2", "--b", "3"),
+    "witness": ("--a", "3", "--b", "4", "--k", "5"),
+    "verify": ("--input", "{cert}"),
+    "oracle": ("--a", "2", "--b", "3", "--k", "3"),
+    "table": ("--a", "2", "--b", "3"),
+}
+
+
+def _parser_argvs():
+    yield from ([], ["--help"], ["-h"], ["nonsense"])
+    for command, valid in _VALID_RUNS.items():
+        yield from (
+            [command], [command, "--help"], [command, "-h"], [command, "--he"],
+            [command, "--a", "x"], [command, "--format", "xml"], [command, *valid, "extra"],
+            [command, "--bogus"], [command, *valid],
+        )
+
+
+class TestParser:
+    """A command builds only its own subparser; with all six, every argv
+    gives the same exit code, stdout and stderr."""
+
+    @pytest.mark.parametrize("argv", list(_parser_argvs()), ids=lambda argv: "_".join(argv) or "no-args")
+    def test_one_subparser_answers_as_all_six(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        cert = tmp_path / "cert.json"
+        cert.write_text(emit_json(packing_document(normalize(2, 3), build_packing(normalize(2, 3)))))
+        argv = [str(cert) if arg == "{cert}" else arg for arg in argv]
+        shipped = _run(capsys, *argv)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert _run(capsys, *argv) == shipped
+
+    def test_errors_name_the_command_argument(self, capsys):
+        assert _run(capsys)[2].endswith(": error: the following arguments are required: command\n")
+        assert "error: argument command: invalid choice: 'nonsense'" in _run(capsys, "nonsense")[2]
+
+    @pytest.mark.parametrize(
+        "argv,built",
+        [
+            (["kappa", "--a", "3", "--b", "4", "--k", "5"], 2),
+            (["pack", "--a", "x"], 2),
+            (["table", "--help"], 2),
+            (["--help"], 7),
+            (["nonsense"], 7),
+            ([], 7),
+        ],
+    )
+    def test_parsers_built_per_run(self, capsys, monkeypatch, argv, built):
+        made = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        _run(capsys, *argv)
+        assert len(made) == built
+
+
 class TestDocumentLayer:
     def test_packing_document_round_trips(self):
         order = normalize(5, 3)
@@ -684,18 +748,23 @@ def test_top_level_exports_are_the_readme_library():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def _child_env(**extra):
+    """The environment for a child Python that imports this treeconn."""
+    import treeconn
+
+    src = str(Path(treeconn.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 @pytest.mark.parametrize(
     "module,flags",
     [("treeconn", ()), ("treeconn.cli", ()), ("treeconn", ("-OO",)), ("treeconn.cli", ("-OO",))],
     ids=["treeconn", "treeconn.cli", "treeconn-OO", "treeconn.cli-OO"],
 )
 def test_python_dash_m_runs_the_cli(tmp_path, module, flags):
-    import treeconn
-
     path = tmp_path / "under-full.json"
     path.write_text('{"kind":"packing","a":3,"b":4,"trees":[]}')
-    src = str(Path(treeconn.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
 
     def cli(*args, flags=flags):
         return subprocess.run(
@@ -715,14 +784,26 @@ def test_python_dash_m_runs_the_cli(tmp_path, module, flags):
     assert cli("--help").stdout == cli("--help", flags=()).stdout
 
 
+def test_every_help_is_the_same_under_dash_OO():
+    """-OO strips docstrings; no command's --help may depend on them."""
+    env = _child_env(COLUMNS="80")
+    commands = [[], ["kappa"], ["pack"], ["witness"], ["verify"], ["oracle"], ["table"]]
+    probe = f"from treeconn.cli import run\nfor argv in {commands!r}: run([*argv, '--help'])"
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        ).stdout
+        for flags in ((), ("-OO",))
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("usage: treeconn") == len(commands)
+
+
 def test_importing_the_cli_leaves_out_what_few_commands_use():
     """Every command pays for what ``treeconn.cli`` imports: the oracle
     loads only for ``oracle``, and neither ``dataclasses`` nor ``pathlib``
     loads at all."""
-    import treeconn
-
-    src = str(Path(treeconn.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     probe = "import sys, treeconn.cli; print(*sorted({'treeconn.oracle', 'dataclasses', 'pathlib'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60

@@ -113,6 +113,21 @@ class TestValidateTree:
         order = BipartiteOrder(2, 2)
         assert _check_tree(order, (), 1, 0).first_kind == "missing-terminal"
 
+    @pytest.mark.parametrize(
+        "tree,x_terminals,y_terminals,violation",
+        [
+            (((1, 1), (3, 1), (1, 4)), 0, 0, "out-of-range: edge (x3, y1) outside 2x3"),
+            # x1 comes back after x2's edges: its root is found again
+            (((1, 1), (2, 1), (2, 2), (1, 2)), 0, 0, "cycle: edge (x1, y2) closes a cycle"),
+            (((2, 3), (1, 1), (1, 2)), 0, 0, "disconnected: edge set splits into several components"),
+            (((1, 1), (1, 2), (1, 3)), 2, 0, "missing-terminal: x2 not covered"),
+            (((1, 1), (1, 2), (2, 1)), 2, 3, "missing-terminal: y3 not covered"),
+        ],
+    )
+    def test_violation_names_its_culprit(self, tree, x_terminals, y_terminals, violation):
+        report = _check_tree(BipartiteOrder(2, 3), tree, x_terminals, y_terminals)
+        assert [str(v) for v in report.violations] == [violation]
+
     @given(spanning_tree_instances())
     def test_random_spanning_tree_validates(self, instance):
         order, tree = instance
